@@ -189,17 +189,18 @@ def _search_exact(
     g: Graph,
     k: int,
     cond: _Conditions,
-    order: list[int],
     counter: dict[str, int],
     max_nodes: int | None,
 ) -> int | None:
-    """First satisfying k-subset in the subset order induced by ``order``.
+    """Lexicographically smallest satisfying k-subset, or None.
 
-    Vertices are decided in/out one at a time (in-branch first, so with the
-    identity order the first hit is the lexicographically smallest subset).
-    A branch is pruned as soon as some decided vertex can no longer meet its
+    Vertices are decided in/out in index order, in-branch first, so the
+    first hit is the lexicographically smallest satisfying k-subset. A
+    branch is pruned as soon as some decided vertex can no longer meet its
     threshold even if every undecided neighbor joined, or a decided outsider
-    can no longer be dominated.
+    can no longer be dominated. The decided prefix ``status[:u]`` is the
+    search stack, so the depth (the graph order) is not bounded by the
+    recursion limit.
     """
     n = g.n
     adjacency = g.adjacency
@@ -223,16 +224,23 @@ def _search_exact(
                 return False
         return True
 
-    def extend(i: int, chosen: int, smask: int) -> int | None:
-        if i == n:
-            return smask if chosen == k else None
-        u = order[i]
-        remaining = n - i - 1
-        for joins in (True, False):
-            if joins and chosen >= k:
-                continue
-            if not joins and chosen + remaining < k:
-                continue
+    def retract(v: int) -> bool:
+        joined = status[v] == _IN
+        for w in adjacency[v]:
+            undecided[w] += 1
+            if joined:
+                in_count[w] -= 1
+        status[v] = _UNDECIDED
+        return joined
+
+    chosen = 0
+    smask = 0
+    u = 0
+    joins = True  # the branch to try next at vertex u
+    while True:
+        if u == n:
+            return smask
+        if (chosen < k) if joins else (chosen + n - u - 1 >= k):
             counter["nodes"] += 1
             if max_nodes is not None and counter["nodes"] > max_nodes:
                 raise SearchBudgetExceeded(
@@ -253,43 +261,48 @@ def _search_exact(
                         ok = False
                         break
             if ok:
-                found = extend(i + 1, chosen + joins, smask | (1 << u) if joins else smask)
-                if found is not None:
-                    return found
-            for w in adjacency[u]:
-                undecided[w] += 1
                 if joins:
-                    in_count[w] -= 1
-            status[u] = _UNDECIDED
-        return None
-
-    return extend(0, 0, 0)
+                    chosen += 1
+                    smask |= 1 << u
+                u += 1
+                joins = True
+                continue
+            retract(u)
+        if joins:
+            joins = False
+            continue
+        # Both branches at u are spent: pop decisions up to the nearest
+        # member and try it as an outsider.
+        while True:
+            u -= 1
+            if u < 0:
+                return None
+            if retract(u):
+                chosen -= 1
+                smask ^= 1 << u
+                joins = False
+                break
 
 
 def _minimize(g: Graph, cond: _Conditions, limits: SearchLimits | None) -> AllianceResult:
+    """Search k = 1, 2, ... once each. The first hit is the minimum, and
+    its witness is already canonical because vertices are decided in index
+    order."""
     limits = limits or SearchLimits()
     if g.n > limits.max_n and not limits.allow_large:
         raise ResourceLimitError(
             f"order {g.n} exceeds the solver ceiling {limits.max_n};"
             " raise max_n or set allow_large to search anyway"
         )
-    degree = [len(a) for a in g.adjacency]
-    # High-degree vertices are the likely members; trying them first finds
-    # witnesses quickly. The reported witness is still canonicalized below.
-    fast_order = sorted(range(g.n), key=lambda v: (-degree[v], v))
-    identity = list(range(g.n))
     counter = {"nodes": 0}
     for k in range(1, g.n + 1):
-        mask = _search_exact(g, k, cond, fast_order, counter, limits.max_nodes)
-        if mask is None:
-            continue
-        if fast_order != identity:
-            mask = _search_exact(g, k, cond, identity, counter, limits.max_nodes)
-        return AllianceResult(
-            value=k,
-            witness=VertexSet.from_mask(mask),
-            nodes_explored=counter["nodes"],
-        )
+        mask = _search_exact(g, k, cond, counter, limits.max_nodes)
+        if mask is not None:
+            return AllianceResult(
+                value=k,
+                witness=VertexSet.from_mask(mask),
+                nodes_explored=counter["nodes"],
+            )
     raise AssertionError("unreachable: the full vertex set satisfies every variant")
 
 
@@ -297,7 +310,9 @@ def min_alliance_number(g: Graph, spec: AllianceSpec, limits: SearchLimits | Non
     """Exact minimum cardinality of an alliance of the given variant.
 
     Searches cardinalities 1, 2, ... in turn, so the first satisfiable size
-    is the minimum. Always terminates: the full vertex set qualifies.
+    is the minimum. Each size is searched once, deciding vertices in index
+    order, so the witness is the lexicographically smallest minimum set.
+    Always terminates: the full vertex set qualifies.
     """
     return _minimize(g, _conditions(spec), limits)
 

@@ -43,11 +43,7 @@ def naive_dominates(g, members: set) -> bool:
 
 
 def naive_minimum(g, kind: str, strong: bool, global_: bool) -> int:
-    for k in range(1, g.n + 1):
-        for subset in combinations(range(g.n), k):
-            if naive_satisfies(g, set(subset), kind, strong, global_):
-                return k
-    raise AssertionError("the full vertex set always qualifies")
+    return naive_minimum_witness(g, kind, strong, global_)[0]
 
 
 def naive_minimum_witness(g, kind: str, strong: bool, global_: bool) -> tuple[int, tuple[int, ...]]:
@@ -60,8 +56,13 @@ def naive_minimum_witness(g, kind: str, strong: bool, global_: bool) -> tuple[in
 
 
 def naive_domination(g) -> int:
+    return naive_domination_witness(g)[0]
+
+
+def naive_domination_witness(g) -> tuple[int, tuple[int, ...]]:
+    """Domination number plus the first dominating set in combinations order."""
     for k in range(1, g.n + 1):
         for subset in combinations(range(g.n), k):
             if naive_dominates(g, set(subset)):
-                return k
+                return k, subset
     raise AssertionError("the full vertex set always dominates")

@@ -18,9 +18,9 @@ from alliances.alliance_solver import (
     min_alliance_number,
     spec_from_name,
 )
-from alliances.graph_core import Graph, VertexSet, girth
+from alliances.graph_core import Graph, VertexSet, degree_stats, girth
 
-from naive import naive_domination, naive_minimum, naive_minimum_witness
+from naive import naive_domination, naive_domination_witness, naive_minimum, naive_minimum_witness
 from strategies import graph_and_proper_subset, graphs
 
 DEFENSIVE = spec_from_name("defensive")
@@ -182,15 +182,22 @@ class TestWitnesses:
                 assert is_alliance(g, result.witness, spec)
 
     def test_witness_is_lexicographically_smallest(self):
+        # Unequal degrees: a search that tried high-degree vertices first
+        # would find a different minimum set first on these graphs.
+        candidates = [generators.path(n) for n in range(2, 10)]
+        candidates += [generators.grid(2, 3), generators.grid(2, 4), generators.grid(3, 3)]
         rng = random.Random(99)
-        for trial in range(20):
-            g = generators.gnp(7, rng.uniform(0.25, 0.8), seed=trial)
-            for name in ("defensive", "global_defensive", "global_offensive", "global_dual"):
+        candidates += [generators.gnp(rng.randint(5, 9), rng.uniform(0.25, 0.8), seed=trial) for trial in range(20)]
+        irregular = [g for g in candidates if degree_stats(g).regular is None]
+        assert len(irregular) >= 25
+        for g in irregular:
+            for name in SPEC_NAMES:
                 kind, strong, global_ = _KIND_FIELDS[name]
                 value, witness = naive_minimum_witness(g, kind, strong, global_)
                 result = min_alliance_number(g, spec_from_name(name))
-                assert result.value == value
-                assert tuple(result.witness) == witness
+                assert (result.value, tuple(result.witness)) == (value, witness), (g.n, g.m, name)
+            result = domination_number(g)
+            assert (result.value, tuple(result.witness)) == naive_domination_witness(g), (g.n, g.m)
 
 
 class TestOracleEquivalence:
@@ -254,3 +261,34 @@ class TestLimits:
             min_alliance_number(g, GLOBAL_STRONG_DUAL, SearchLimits(max_nodes=50))
         assert exc_info.value.nodes_explored > 50 - 2
         assert exc_info.value.cardinality >= 1
+
+    def test_deep_path_needs_no_recursion(self):
+        # The search depth equals the order, beyond the default recursion limit of 1000.
+        result = min_alliance_number(generators.path(1200), DEFENSIVE, SearchLimits(max_n=2000))
+        assert result.value == 1
+        assert list(result.witness) == [0]
+
+
+class TestSearchTree:
+    def test_corpus_node_counts_are_pinned(self, corpus):
+        # Totals over the named corpus of the index-order, in-branch-first
+        # search; a change to the tree walk or its pruning shows here.
+        expected = {
+            "defensive": 1683,
+            "strong_defensive": 3170,
+            "global_defensive": 4883,
+            "global_strong_defensive": 4264,
+            "offensive": 3318,
+            "strong_offensive": 4113,
+            "global_offensive": 3140,
+            "global_strong_offensive": 3522,
+            "global_dual": 4095,
+            "global_strong_dual": 3395,
+            "domination": 682,
+        }
+        totals = dict.fromkeys(expected, 0)
+        for g in corpus.values():
+            for name in SPEC_NAMES:
+                totals[name] += min_alliance_number(g, spec_from_name(name)).nodes_explored
+            totals["domination"] += domination_number(g).nodes_explored
+        assert totals == expected
