@@ -3,30 +3,22 @@
 Each evaluator substitutes graph quantities (order n, size m, degree
 extremes, algebraic connectivity, adjacency spectral radius, Laplacian
 spectral radius) into one closed-form theorem and takes a tolerance-aware
-integer ceiling. ``evaluate_all`` wires a graph and its spectral summary
-into every theorem and reports applicability honestly: a theorem whose
-hypotheses fail yields no number, only the reason.
+integer ceiling.
 
-Theorem identifiers are stable strings used in reports:
-
-  def-mu               defensive / strong defensive vs algebraic connectivity
-  strongdef-mu-delta   strong defensive vs connectivity and maximum degree
-  globdef-lambda       global (strong) defensive vs spectral radius
-  globdef-degree       global (strong) defensive vs maximum degree
-  globdef-degree-prior earlier degree-only global defensive bound
-  girth-regular-mu     girth of connected 3/4/5-regular graphs vs connectivity
-  globoff-laplacian    global (strong) offensive vs Laplacian spectral radius
-  globoff-quadratic    global (strong) offensive vs order, size, max degree
-  globdual-lambda      global (strong) dual vs spectral radius
-  globdual-size        global (strong) dual vs order and size
-  dom-laplacian        domination vs Laplacian spectral radius
+``evaluate_all`` walks one ordered table, ``_THEOREMS``. An entry names the
+theorem (a stable id used in reports), the targets it bounds, the graph
+quantities its formula reads (in argument order; they are also the row's
+``inputs``), its hypotheses in the order they are checked, each with the
+reason reported when it fails, and whether its value is degenerate on
+disconnected graphs. A theorem whose hypotheses fail yields no number, only
+the first failing reason; ``THEOREM_IDS`` lists the table's ids in order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .graph_core import Graph, degree_stats, is_connected
 from .spectral import SpectralSummary
@@ -34,6 +26,7 @@ from .spectral import SpectralSummary
 __all__ = [
     "BoundResult",
     "THEOREM_IDS",
+    "TARGETS",
     "safe_ceil",
     "defensive_connectivity",
     "strong_defensive_connectivity_degree",
@@ -50,20 +43,6 @@ __all__ = [
 ]
 
 SNAP = 1e-7  # three orders of magnitude above the eigensolver residual
-
-THEOREM_IDS: tuple[str, ...] = (
-    "def-mu",
-    "strongdef-mu-delta",
-    "globdef-lambda",
-    "globdef-degree",
-    "globdef-degree-prior",
-    "girth-regular-mu",
-    "globoff-laplacian",
-    "globoff-quadratic",
-    "globdual-lambda",
-    "globdual-size",
-    "dom-laplacian",
-)
 
 
 @dataclass(frozen=True)
@@ -215,12 +194,90 @@ def domination_laplacian_radius(n: int, laplacian_radius: float) -> int:
     return safe_ceil(n / mu_star)
 
 
+# A hypothesis is a test on the graph quantities and the reason reported
+# when it fails; ``{degree}`` in a reason is filled from the quantities.
+_Hypothesis = tuple[Callable[[dict], bool], str]
+_SPECTRUM: _Hypothesis = (lambda q: q["spectral_radius"] is not None, "spectral summary unavailable (order < 2)")
+_CONNECTED: _Hypothesis = (lambda q: q["connected"], "graph is disconnected")
+_REGULAR: _Hypothesis = (lambda q: q["degree"] is not None, "graph is not regular")
+_DEGREE_345: _Hypothesis = (lambda q: q["degree"] in (3, 4, 5), "regular of degree {degree}; theorem covers degrees 3, 4, 5")
+_HAS_EDGES: _Hypothesis = (lambda q: q["laplacian_radius"] > SNAP, "Laplacian spectral radius is zero (edgeless graph)")
+
+
+@dataclass(frozen=True)
+class _Theorem:
+    id: str
+    targets: tuple[str, ...]
+    formula: Callable[..., int | tuple[int, int]]  # one value per target
+    inputs: tuple[str, ...]
+    requires: tuple[_Hypothesis, ...] = ()
+    degenerate_if_disconnected: bool = False  # holds, but vacuous when mu ~ 0
+
+
+_DEF = ("defensive", "strong_defensive")
+_GLOBDEF = ("global_defensive", "global_strong_defensive")
+_GLOBOFF = ("global_offensive", "global_strong_offensive")
+_GLOBDUAL = ("global_dual", "global_strong_dual")
+
+_THEOREMS: tuple[_Theorem, ...] = (
+    # (strong) defensive vs algebraic connectivity
+    _Theorem("def-mu", _DEF, defensive_connectivity, ("n", "algebraic_connectivity"), (_SPECTRUM,), True),
+    # strong defensive vs connectivity and maximum degree
+    _Theorem(
+        "strongdef-mu-delta",
+        ("strong_defensive",),
+        strong_defensive_connectivity_degree,
+        ("n", "algebraic_connectivity", "max_degree"),
+        (_SPECTRUM, _CONNECTED),
+    ),
+    # global (strong) defensive vs spectral radius
+    _Theorem("globdef-lambda", _GLOBDEF, global_defensive_spectral_radius, ("n", "spectral_radius"), (_SPECTRUM,)),
+    # global (strong) defensive vs maximum degree
+    _Theorem("globdef-degree", _GLOBDEF, global_defensive_degree, ("n", "max_degree")),
+    # earlier degree-only global defensive bound
+    _Theorem("globdef-degree-prior", ("global_defensive",), global_defensive_degree_prior, ("n", "max_degree")),
+    # girth of connected 3/4/5-regular graphs vs connectivity
+    _Theorem(
+        "girth-regular-mu",
+        ("girth",),
+        girth_regular_connectivity,
+        ("n", "algebraic_connectivity", "degree"),
+        (_REGULAR, _DEGREE_345, _CONNECTED, _SPECTRUM),
+    ),
+    # global (strong) offensive vs Laplacian spectral radius
+    _Theorem(
+        "globoff-laplacian",
+        _GLOBOFF,
+        global_offensive_laplacian_radius,
+        ("n", "min_degree", "laplacian_radius"),
+        (_SPECTRUM, _HAS_EDGES),
+    ),
+    # global (strong) offensive vs order, size, maximum degree
+    _Theorem("globoff-quadratic", _GLOBOFF, global_offensive_quadratic, ("n", "m", "max_degree")),
+    # global (strong) dual vs spectral radius
+    _Theorem("globdual-lambda", _GLOBDUAL, global_dual_spectral_radius, ("n", "m", "spectral_radius"), (_SPECTRUM,)),
+    # global (strong) dual vs order and size
+    _Theorem("globdual-size", _GLOBDUAL, global_dual_size, ("n", "m")),
+    # domination vs Laplacian spectral radius
+    _Theorem(
+        "dom-laplacian",
+        ("domination",),
+        domination_laplacian_radius,
+        ("n", "laplacian_radius"),
+        (_SPECTRUM, _HAS_EDGES),
+    ),
+)
+
+THEOREM_IDS: tuple[str, ...] = tuple(theorem.id for theorem in _THEOREMS)
+TARGETS: frozenset[str] = frozenset(target for theorem in _THEOREMS for target in theorem.targets)
+
+
 def evaluate_all(
     g: Graph,
     summary: SpectralSummary | None = None,
     theorems: Iterable[str] | None = None,
 ) -> list[BoundResult]:
-    """Evaluate every requested theorem on one graph.
+    """Evaluate every requested theorem on one graph, in table order.
 
     ``summary`` may be None (order-1 graphs have no algebraic connectivity);
     spectral theorems are then reported inapplicable. Values are clamped at
@@ -234,154 +291,37 @@ def evaluate_all(
         if unknown:
             raise ValueError(f"unknown theorem id(s): {', '.join(sorted(unknown))}")
 
-    n, m = g.n, g.m
     stats = degree_stats(g)
-    connected = summary.connected if summary is not None else is_connected(g)
-    mu = summary.algebraic_connectivity if summary is not None else None
-    lam = summary.spectral_radius if summary is not None else None
-    mu_star = summary.laplacian_radius if summary is not None else None
-    no_spectrum = "spectral summary unavailable (order < 2)"
+    quantities = {
+        "n": g.n,
+        "m": g.m,
+        "min_degree": stats.min_degree,
+        "max_degree": stats.max_degree,
+        "degree": stats.regular,
+        "connected": summary.connected if summary is not None else is_connected(g),
+        "algebraic_connectivity": summary.algebraic_connectivity if summary is not None else None,
+        "spectral_radius": summary.spectral_radius if summary is not None else None,
+        "laplacian_radius": summary.laplacian_radius if summary is not None else None,
+    }
 
     results: list[BoundResult] = []
-
-    def emit(theorem: str, target: str, value: int, degenerate: bool = False, **inputs) -> None:
-        results.append(
-            BoundResult(theorem, target, max(0, value), degenerate=degenerate, inputs=inputs)
+    for theorem in _THEOREMS:
+        if theorem.id not in selected:
+            continue
+        failed = next((reason for holds, reason in theorem.requires if not holds(quantities)), None)
+        if failed is not None:
+            reason = failed.format(**quantities)
+            results.extend(
+                BoundResult(theorem.id, target, None, applicable=False, reason=reason) for target in theorem.targets
+            )
+            continue
+        inputs = {name: quantities[name] for name in theorem.inputs}
+        values = theorem.formula(*inputs.values())
+        if len(theorem.targets) == 1:
+            values = (values,)
+        degenerate = theorem.degenerate_if_disconnected and not quantities["connected"]
+        results.extend(
+            BoundResult(theorem.id, target, max(0, value), degenerate=degenerate, inputs=dict(inputs))
+            for target, value in zip(theorem.targets, values)
         )
-
-    def skip(theorem: str, target: str, reason: str, **inputs) -> None:
-        results.append(
-            BoundResult(theorem, target, None, applicable=False, reason=reason, inputs=inputs)
-        )
-
-    if "def-mu" in selected:
-        if mu is None:
-            skip("def-mu", "defensive", no_spectrum)
-            skip("def-mu", "strong_defensive", no_spectrum)
-        else:
-            plain, strong = defensive_connectivity(n, mu)
-            degenerate = not connected  # mu ~ 0 makes these vacuous
-            emit("def-mu", "defensive", plain, degenerate, n=n, algebraic_connectivity=mu)
-            emit("def-mu", "strong_defensive", strong, degenerate, n=n, algebraic_connectivity=mu)
-
-    if "strongdef-mu-delta" in selected:
-        if mu is None:
-            skip("strongdef-mu-delta", "strong_defensive", no_spectrum)
-        elif not connected:
-            skip("strongdef-mu-delta", "strong_defensive", "graph is disconnected")
-        else:
-            value = strong_defensive_connectivity_degree(n, mu, stats.max_degree)
-            emit(
-                "strongdef-mu-delta",
-                "strong_defensive",
-                value,
-                n=n,
-                algebraic_connectivity=mu,
-                max_degree=stats.max_degree,
-            )
-
-    if "globdef-lambda" in selected:
-        if lam is None:
-            skip("globdef-lambda", "global_defensive", no_spectrum)
-            skip("globdef-lambda", "global_strong_defensive", no_spectrum)
-        else:
-            plain, strong = global_defensive_spectral_radius(n, lam)
-            emit("globdef-lambda", "global_defensive", plain, n=n, spectral_radius=lam)
-            emit("globdef-lambda", "global_strong_defensive", strong, n=n, spectral_radius=lam)
-
-    if "globdef-degree" in selected:
-        plain, strong = global_defensive_degree(n, stats.max_degree)
-        emit("globdef-degree", "global_defensive", plain, n=n, max_degree=stats.max_degree)
-        emit("globdef-degree", "global_strong_defensive", strong, n=n, max_degree=stats.max_degree)
-
-    if "globdef-degree-prior" in selected:
-        value = global_defensive_degree_prior(n, stats.max_degree)
-        emit("globdef-degree-prior", "global_defensive", value, n=n, max_degree=stats.max_degree)
-
-    if "girth-regular-mu" in selected:
-        if stats.regular is None:
-            skip("girth-regular-mu", "girth", "graph is not regular")
-        elif stats.regular not in (3, 4, 5):
-            skip(
-                "girth-regular-mu",
-                "girth",
-                f"regular of degree {stats.regular}; theorem covers degrees 3, 4, 5",
-            )
-        elif not connected:
-            skip("girth-regular-mu", "girth", "graph is disconnected")
-        elif mu is None:
-            skip("girth-regular-mu", "girth", no_spectrum)
-        else:
-            value = girth_regular_connectivity(n, mu, stats.regular)
-            emit(
-                "girth-regular-mu",
-                "girth",
-                value,
-                n=n,
-                algebraic_connectivity=mu,
-                degree=stats.regular,
-            )
-
-    if "globoff-laplacian" in selected:
-        if mu_star is None:
-            skip("globoff-laplacian", "global_offensive", no_spectrum)
-            skip("globoff-laplacian", "global_strong_offensive", no_spectrum)
-        elif mu_star <= SNAP:
-            reason = "Laplacian spectral radius is zero (edgeless graph)"
-            skip("globoff-laplacian", "global_offensive", reason)
-            skip("globoff-laplacian", "global_strong_offensive", reason)
-        else:
-            plain, strong = global_offensive_laplacian_radius(n, stats.min_degree, mu_star)
-            emit(
-                "globoff-laplacian",
-                "global_offensive",
-                plain,
-                n=n,
-                min_degree=stats.min_degree,
-                laplacian_radius=mu_star,
-            )
-            emit(
-                "globoff-laplacian",
-                "global_strong_offensive",
-                strong,
-                n=n,
-                min_degree=stats.min_degree,
-                laplacian_radius=mu_star,
-            )
-
-    if "globoff-quadratic" in selected:
-        plain, strong = global_offensive_quadratic(n, m, stats.max_degree)
-        emit("globoff-quadratic", "global_offensive", plain, n=n, m=m, max_degree=stats.max_degree)
-        emit(
-            "globoff-quadratic",
-            "global_strong_offensive",
-            strong,
-            n=n,
-            m=m,
-            max_degree=stats.max_degree,
-        )
-
-    if "globdual-lambda" in selected:
-        if lam is None:
-            skip("globdual-lambda", "global_dual", no_spectrum)
-            skip("globdual-lambda", "global_strong_dual", no_spectrum)
-        else:
-            plain, strong = global_dual_spectral_radius(n, m, lam)
-            emit("globdual-lambda", "global_dual", plain, n=n, m=m, spectral_radius=lam)
-            emit("globdual-lambda", "global_strong_dual", strong, n=n, m=m, spectral_radius=lam)
-
-    if "globdual-size" in selected:
-        plain, strong = global_dual_size(n, m)
-        emit("globdual-size", "global_dual", plain, n=n, m=m)
-        emit("globdual-size", "global_strong_dual", strong, n=n, m=m)
-
-    if "dom-laplacian" in selected:
-        if mu_star is None:
-            skip("dom-laplacian", "domination", no_spectrum)
-        elif mu_star <= SNAP:
-            skip("dom-laplacian", "domination", "Laplacian spectral radius is zero (edgeless graph)")
-        else:
-            value = domination_laplacian_radius(n, mu_star)
-            emit("dom-laplacian", "domination", value, n=n, laplacian_radius=mu_star)
-
     return results

@@ -14,13 +14,14 @@ import argparse
 import json
 import os
 import sys
+from typing import Iterable, Iterator
 
 from .alliance_solver import ResourceLimitError, SearchLimits
-from .generators import GraphFamilySpec, build
+from .generators import FAMILIES, GraphFamilySpec, build
 from .graph_core import Graph
 from .io_formats import ParseError, parse_graph, write_edgelist, write_graph6
 from .report import (
-    DEFAULT_SPECS,
+    EXACT_SPECS,
     SoundnessViolation,
     analyze,
     analyze_to_csv,
@@ -29,45 +30,15 @@ from .report import (
     summary_to_csv,
     survey_rows,
 )
-
-_ALL_EXACT = DEFAULT_SPECS[:-1] + ("offensive", "strong_offensive", "domination")
-
-SPEC_TOKENS = {
-    "def": "defensive",
-    "strongdef": "strong_defensive",
-    "globdef": "global_defensive",
-    "globstrongdef": "global_strong_defensive",
-    "off": "offensive",
-    "strongoff": "strong_offensive",
-    "globoff": "global_offensive",
-    "globstrongoff": "global_strong_offensive",
-    "globdual": "global_dual",
-    "globstrongdual": "global_strong_dual",
-    "dom": "domination",
-}
-
-_FAMILY_NAMES = (
-    "complete",
-    "complete_bipartite",
-    "cycle",
-    "path",
-    "grid",
-    "hypercube",
-    "petersen",
-    "icosahedron",
-    "complete_minus_matching",
-    "bowtie",
-    "gnp",
-    "random_regular",
-)
+from .spectral import DEFAULT_TOL
 
 
 def parse_family(text: str) -> GraphFamilySpec:
     """Parse a family spec string ``name[:p1[:p2]][:seed=S]``."""
     parts = text.split(":")
     name = parts[0]
-    if name not in _FAMILY_NAMES:
-        raise ValueError(f"unknown graph family {name!r}; known: {', '.join(_FAMILY_NAMES)}")
+    if name not in FAMILIES:
+        raise ValueError(f"unknown graph family {name!r}; known: {', '.join(FAMILIES)}")
     params: list[int | float] = []
     seed: int | None = None
     for part in parts[1:]:
@@ -116,7 +87,7 @@ def _load_source(source: str, input_format: str) -> tuple[Graph, tuple[str, ...]
 
 def _parse_specs(value: str | None, all_flag: bool) -> tuple[str, ...] | None:
     if all_flag:
-        return _ALL_EXACT
+        return tuple(EXACT_SPECS.values())
     if value is None:
         return None  # analyze() falls back to its default set
     names = []
@@ -124,9 +95,9 @@ def _parse_specs(value: str | None, all_flag: bool) -> tuple[str, ...] | None:
         token = token.strip()
         if not token:
             continue
-        if token not in SPEC_TOKENS:
-            raise ValueError(f"unknown spec token {token!r}; known: {', '.join(SPEC_TOKENS)}")
-        names.append(SPEC_TOKENS[token])
+        if token not in EXACT_SPECS:
+            raise ValueError(f"unknown spec token {token!r}; known: {', '.join(EXACT_SPECS)}")
+        names.append(EXACT_SPECS[token])
     return tuple(names)
 
 
@@ -134,7 +105,7 @@ def _limits_from_args(args: argparse.Namespace) -> SearchLimits:
     max_n = args.max_n
     if max_n is None:
         env = os.environ.get("ALLIANCE_MAX_N")
-        max_n = int(env) if env else 24
+        max_n = int(env) if env else SearchLimits().max_n
     return SearchLimits(max_n=max_n)
 
 
@@ -160,15 +131,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _echoed(rows: Iterable[dict]) -> Iterator[dict]:
+    """Pass rows through, writing each as one JSON line as it arrives."""
+    for row in rows:
+        sys.stdout.write(json.dumps(row) + "\n")
+        yield row
+
+
 def _cmd_survey(args: argparse.Namespace) -> int:
     spec = parse_family(args.family)
-    rows = []
+    rows = survey_rows(spec, args.count, args.seed, limits=_limits_from_args(args), tol=args.tol)
     stream = args.format == "json"
-    for row in survey_rows(spec, args.count, args.seed, limits=_limits_from_args(args), tol=args.tol):
-        rows.append(row)
-        if stream:
-            sys.stdout.write(json.dumps(row) + "\n")
-    summary = summarize_survey(rows)
+    summary = summarize_survey(_echoed(rows) if stream else rows)
     if stream:
         sys.stdout.write(json.dumps({"summary": summary}) + "\n")
     else:
@@ -201,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze_p.add_argument("--format", choices=("json", "csv"), default="json")
     analyze_p.add_argument("--input-format", choices=("auto", "edgelist", "graph6"), default="auto")
     analyze_p.add_argument("--max-n", type=int, default=None, help="solver ceiling (env ALLIANCE_MAX_N)")
-    analyze_p.add_argument("--tol", type=float, default=1e-10)
+    analyze_p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     analyze_p.add_argument("--deterministic", action="store_true", help="suppress the timestamp field")
     analyze_p.set_defaults(func=_cmd_analyze)
 
@@ -211,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     survey_p.add_argument("--seed", type=int, default=0)
     survey_p.add_argument("--format", choices=("json", "csv"), default="json")
     survey_p.add_argument("--max-n", type=int, default=None)
-    survey_p.add_argument("--tol", type=float, default=1e-10)
+    survey_p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     survey_p.set_defaults(func=_cmd_survey)
 
     generate_p = sub.add_parser("generate", help="emit a named/parametric graph")

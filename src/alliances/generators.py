@@ -5,10 +5,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 from .graph_core import Graph
 
 __all__ = [
+    "FAMILIES",
     "GraphFamilySpec",
     "build",
     "complete",
@@ -185,56 +187,58 @@ def random_regular(n: int, d: int, seed: int | None = None, max_tries: int = 200
             seen.add((min(u, v), max(u, v)))
         if ok:
             return Graph(n, pairs)
-    raise RuntimeError(f"configuration model failed to produce a simple graph after {max_tries} tries")
+    raise ValueError(f"configuration model failed to produce a simple graph after {max_tries} tries")
 
 
-def _int_params(spec: GraphFamilySpec, count: int) -> list[int]:
-    if len(spec.params) != count:
-        raise ValueError(f"family {spec.family!r} takes {count} parameter(s), got {len(spec.params)}")
-    out = []
-    for p in spec.params:
-        if isinstance(p, float) and not p.is_integer():
+class Family(NamedTuple):
+    """A buildable family: its constructor and the type of each numeric parameter."""
+
+    constructor: Callable[..., Graph]
+    param_types: tuple[type, ...] = ()
+    seeded: bool = False
+
+
+# Name -> family, in the order error messages list them. ``join`` and
+# ``disjoint_union`` combine child specs and are handled by ``build`` itself.
+FAMILIES: dict[str, Family] = {
+    "complete": Family(complete, (int,)),
+    "complete_bipartite": Family(complete_bipartite, (int, int)),
+    "cycle": Family(cycle, (int,)),
+    "path": Family(path, (int,)),
+    "grid": Family(grid, (int, int)),
+    "hypercube": Family(hypercube, (int,)),
+    "petersen": Family(petersen),
+    "icosahedron": Family(icosahedron),
+    "complete_minus_matching": Family(complete_minus_matching, (int,)),
+    "bowtie": Family(bowtie),
+    "gnp": Family(gnp, (int, float), seeded=True),
+    "random_regular": Family(random_regular, (int, int), seeded=True),
+}
+
+_COMBINATORS = {"join": join, "disjoint_union": disjoint_union}
+
+
+def _typed_params(spec: GraphFamilySpec, types: tuple[type, ...]) -> list[int | float]:
+    if len(spec.params) != len(types):
+        raise ValueError(f"family {spec.family!r} takes {len(types)} parameter(s), got {len(spec.params)}")
+    out: list[int | float] = []
+    for p, kind in zip(spec.params, types):
+        if kind is int and isinstance(p, float) and not p.is_integer():
             raise ValueError(f"family {spec.family!r} takes integer parameters, got {p}")
-        out.append(int(p))
+        out.append(kind(p))
     return out
 
 
 def build(spec: GraphFamilySpec) -> Graph:
     """Construct the graph described by a family spec; deterministic for fixed spec."""
-    fam = spec.family
-    if fam == "complete":
-        return complete(*_int_params(spec, 1))
-    if fam == "complete_bipartite":
-        return complete_bipartite(*_int_params(spec, 2))
-    if fam == "cycle":
-        return cycle(*_int_params(spec, 1))
-    if fam == "path":
-        return path(*_int_params(spec, 1))
-    if fam == "grid":
-        return grid(*_int_params(spec, 2))
-    if fam == "hypercube":
-        return hypercube(*_int_params(spec, 1))
-    if fam == "petersen":
-        _int_params(spec, 0)
-        return petersen()
-    if fam == "icosahedron":
-        _int_params(spec, 0)
-        return icosahedron()
-    if fam == "complete_minus_matching":
-        return complete_minus_matching(*_int_params(spec, 1))
-    if fam == "bowtie":
-        _int_params(spec, 0)
-        return bowtie()
-    if fam == "join" or fam == "disjoint_union":
+    if spec.family in _COMBINATORS:
         if len(spec.children) != 2:
             raise ValueError(f"family {spec.family!r} combines exactly two child specs")
-        left, right = (build(c) for c in spec.children)
-        return join(left, right) if fam == "join" else disjoint_union(left, right)
-    if fam == "gnp":
-        if len(spec.params) != 2:
-            raise ValueError(f"family 'gnp' takes parameters n and p, got {spec.params}")
-        return gnp(int(spec.params[0]), float(spec.params[1]), spec.seed)
-    if fam == "random_regular":
-        n, d = _int_params(spec, 2)
-        return random_regular(n, d, spec.seed)
-    raise ValueError(f"unknown graph family {spec.family!r}")
+        return _COMBINATORS[spec.family](*(build(c) for c in spec.children))
+    family = FAMILIES.get(spec.family)
+    if family is None:
+        raise ValueError(f"unknown graph family {spec.family!r}")
+    params = _typed_params(spec, family.param_types)
+    if family.seeded:
+        return family.constructor(*params, seed=spec.seed)
+    return family.constructor(*params)

@@ -6,11 +6,10 @@ import json
 import math
 from dataclasses import replace
 from datetime import datetime, timezone
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import bounds as bounds_mod
 from .alliance_solver import (
-    SPEC_NAMES,
     ResourceLimitError,
     SearchLimits,
     domination_number,
@@ -20,10 +19,11 @@ from .alliance_solver import (
 from .generators import GraphFamilySpec, build
 from .graph_core import Graph, degree_stats, girth, is_connected
 from .io_formats import write_edgelist
-from .spectral import UndefinedQuantityError, spectral_summary
+from .spectral import DEFAULT_TOL, UndefinedQuantityError, spectral_summary
 
 __all__ = [
     "DEFAULT_SPECS",
+    "EXACT_SPECS",
     "SoundnessViolation",
     "analyze",
     "survey_rows",
@@ -33,21 +33,24 @@ __all__ = [
     "summary_to_csv",
 ]
 
-# The non-global offensive numbers exist but no theorem targets them; they
-# are computed only on request.
-DEFAULT_SPECS: tuple[str, ...] = (
-    "defensive",
-    "strong_defensive",
-    "global_defensive",
-    "global_strong_defensive",
-    "global_offensive",
-    "global_strong_offensive",
-    "global_dual",
-    "global_strong_dual",
-    "domination",
-)
+# CLI token -> exact value name, in the order ``analyze --all`` reports them.
+EXACT_SPECS: dict[str, str] = {
+    "def": "defensive",
+    "strongdef": "strong_defensive",
+    "globdef": "global_defensive",
+    "globstrongdef": "global_strong_defensive",
+    "globoff": "global_offensive",
+    "globstrongoff": "global_strong_offensive",
+    "globdual": "global_dual",
+    "globstrongdual": "global_strong_dual",
+    "off": "offensive",
+    "strongoff": "strong_offensive",
+    "dom": "domination",
+}
 
-_ALL_EXACT_NAMES = SPEC_NAMES + ("domination",)
+# By default only the values some theorem bounds are computed; the
+# non-global offensive numbers are computed only on request.
+DEFAULT_SPECS: tuple[str, ...] = tuple(name for name in EXACT_SPECS.values() if name in bounds_mod.TARGETS)
 
 
 class SoundnessViolation(RuntimeError):
@@ -88,7 +91,7 @@ def analyze(
     theorems: Sequence[str] | None = None,
     bounds_only: bool = False,
     limits: SearchLimits | None = None,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     deterministic: bool = False,
 ) -> dict:
     """Analyze one graph: metadata, spectra, exact values, bounds, gaps.
@@ -100,8 +103,8 @@ def analyze(
     limits = limits or SearchLimits()
     spec_names = tuple(specs) if specs is not None else DEFAULT_SPECS
     for name in spec_names:
-        if name not in _ALL_EXACT_NAMES:
-            raise ValueError(f"unknown alliance spec {name!r}; valid names: {', '.join(_ALL_EXACT_NAMES)}")
+        if name not in EXACT_SPECS.values():
+            raise ValueError(f"unknown alliance spec {name!r}; valid names: {', '.join(EXACT_SPECS.values())}")
 
     stats = degree_stats(g)
     girth_value = girth(g)
@@ -182,7 +185,7 @@ def survey_rows(
     seed: int = 0,
     *,
     limits: SearchLimits | None = None,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> Iterator[dict]:
     """Yield one soundness/tightness row per sampled graph.
 
@@ -228,8 +231,8 @@ def survey_rows(
         yield row_out
 
 
-def summarize_survey(rows: Sequence[dict]) -> list[dict]:
-    """Aggregate survey rows into a per-(theorem, target) summary table."""
+def summarize_survey(rows: Iterable[dict]) -> list[dict]:
+    """Aggregate survey rows, read once as they arrive, into a per-(theorem, target) summary table."""
     table: dict[tuple[str, str], dict] = {}
     for row in rows:
         for entry in row["bounds"]:

@@ -234,6 +234,12 @@ class TestGenerate:
         assert code == 0
         assert parse_graph6(out.strip()) == generators.petersen()
 
+    def test_regular_graph_not_found_exits_2(self, capsys):
+        code, out, err = run(capsys, "generate", "random_regular:10:8:seed=1")
+        assert code == 2
+        assert out == ""
+        assert err == "alliance: error: configuration model failed to produce a simple graph after 2000 tries\n"
+
     def test_bowtie_alias_for_join(self, capsys):
         code, out, _ = run(capsys, "generate", "bowtie")
         assert code == 0

@@ -125,6 +125,8 @@ def test_build_rejects_bad_specs():
         build(GraphFamilySpec("complete", (2, 3)))
     with pytest.raises(ValueError, match="integer"):
         build(GraphFamilySpec("cycle", (3.5,)))
+    with pytest.raises(ValueError, match="takes integer parameters"):
+        build(GraphFamilySpec("gnp", (10.5, 0.5), seed=1))
     with pytest.raises(ValueError, match="child"):
         build(GraphFamilySpec("join"))
 
