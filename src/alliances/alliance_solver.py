@@ -109,11 +109,10 @@ class AllianceResult:
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Solver guard rails: graphs above ``max_n`` are refused unless
-    ``allow_large`` is set, and ``max_nodes`` caps the search tree size."""
+    """Solver guard rails: graphs above ``max_n`` are refused, and
+    ``max_nodes`` caps the search tree size."""
 
     max_n: int = 24
-    allow_large: bool = False
     max_nodes: int | None = None
 
 
@@ -289,11 +288,8 @@ def _minimize(g: Graph, cond: _Conditions, limits: SearchLimits | None) -> Allia
     its witness is already canonical because vertices are decided in index
     order."""
     limits = limits or SearchLimits()
-    if g.n > limits.max_n and not limits.allow_large:
-        raise ResourceLimitError(
-            f"order {g.n} exceeds the solver ceiling {limits.max_n};"
-            " raise max_n or set allow_large to search anyway"
-        )
+    if g.n > limits.max_n:
+        raise ResourceLimitError(f"order {g.n} exceeds the solver ceiling {limits.max_n}; raise max_n to search anyway")
     counter = {"nodes": 0}
     for k in range(1, g.n + 1):
         mask = _search_exact(g, k, cond, counter, limits.max_nodes)

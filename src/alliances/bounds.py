@@ -42,7 +42,7 @@ __all__ = [
     "evaluate_all",
 ]
 
-SNAP = 1e-7  # three orders of magnitude above the eigensolver residual
+SNAP = 1e-7  # three orders of magnitude above spectral.DEFAULT_TOL, the fixed eigensolver residual
 
 
 @dataclass(frozen=True)

@@ -30,17 +30,16 @@ from .report import (
     summary_to_csv,
     survey_rows,
 )
-from .spectral import DEFAULT_TOL
 
 
 def parse_family(text: str) -> GraphFamilySpec:
-    """Parse a family spec string ``name[:p1[:p2]][:seed=S]``."""
+    """Parse a family spec string ``name[:p1[:p2]][:seed=S]``; a missing seed means 0."""
     parts = text.split(":")
     name = parts[0]
     if name not in FAMILIES:
         raise ValueError(f"unknown graph family {name!r}; known: {', '.join(FAMILIES)}")
     params: list[int | float] = []
-    seed: int | None = None
+    seed = 0
     for part in parts[1:]:
         if part.startswith("seed="):
             seed = int(part[5:])
@@ -101,14 +100,6 @@ def _parse_specs(value: str | None, all_flag: bool) -> tuple[str, ...] | None:
     return tuple(names)
 
 
-def _limits_from_args(args: argparse.Namespace) -> SearchLimits:
-    max_n = args.max_n
-    if max_n is None:
-        env = os.environ.get("ALLIANCE_MAX_N")
-        max_n = int(env) if env else SearchLimits().max_n
-    return SearchLimits(max_n=max_n)
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     graph, labels, label = _load_source(args.source, args.input_format)
     specs = _parse_specs(args.specs, args.all)
@@ -120,8 +111,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         specs=specs,
         theorems=theorems,
         bounds_only=args.bounds_only,
-        limits=_limits_from_args(args),
-        tol=args.tol,
+        limits=SearchLimits(max_n=args.max_n),
         deterministic=args.deterministic,
     )
     if args.format == "json":
@@ -140,7 +130,7 @@ def _echoed(rows: Iterable[dict]) -> Iterator[dict]:
 
 def _cmd_survey(args: argparse.Namespace) -> int:
     spec = parse_family(args.family)
-    rows = survey_rows(spec, args.count, args.seed, limits=_limits_from_args(args), tol=args.tol)
+    rows = survey_rows(spec, args.count, args.seed, limits=SearchLimits(max_n=args.max_n))
     stream = args.format == "json"
     summary = summarize_survey(_echoed(rows) if stream else rows)
     if stream:
@@ -174,8 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze_p.add_argument("--bounds-only", action="store_true", help="skip exact solving")
     analyze_p.add_argument("--format", choices=("json", "csv"), default="json")
     analyze_p.add_argument("--input-format", choices=("auto", "edgelist", "graph6"), default="auto")
-    analyze_p.add_argument("--max-n", type=int, default=None, help="solver ceiling (env ALLIANCE_MAX_N)")
-    analyze_p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    analyze_p.add_argument("--max-n", type=int, default=SearchLimits().max_n, help="solver ceiling")
     analyze_p.add_argument("--deterministic", action="store_true", help="suppress the timestamp field")
     analyze_p.set_defaults(func=_cmd_analyze)
 
@@ -184,8 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     survey_p.add_argument("--count", type=int, required=True)
     survey_p.add_argument("--seed", type=int, default=0)
     survey_p.add_argument("--format", choices=("json", "csv"), default="json")
-    survey_p.add_argument("--max-n", type=int, default=None)
-    survey_p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    survey_p.add_argument("--max-n", type=int, default=SearchLimits().max_n, help="solver ceiling")
     survey_p.set_defaults(func=_cmd_survey)
 
     generate_p = sub.add_parser("generate", help="emit a named/parametric graph")

@@ -32,17 +32,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GraphFamilySpec:
-    """Recipe for a deterministic graph construction.
-
-    ``join`` and ``disjoint_union`` combine two child specs; every other
-    family takes numeric parameters. ``seed`` only matters for the random
-    families and is part of the recipe's identity.
+    """Recipe for a deterministic graph construction: a family name from
+    ``FAMILIES`` and its numeric parameters. ``seed`` only matters for the
+    random families, where the default 0 is a seed like any other, and is
+    part of the recipe's identity.
     """
 
     family: str
     params: tuple[int | float, ...] = ()
-    seed: int | None = None
-    children: tuple["GraphFamilySpec", ...] = ()
+    seed: int = 0
 
 
 def complete(n: int) -> Graph:
@@ -151,7 +149,7 @@ def bowtie() -> Graph:
     return join(complete(1), disjoint_union(complete(2), complete(2)))
 
 
-def gnp(n: int, p: float, seed: int | None = None) -> Graph:
+def gnp(n: int, p: float, seed: int = 0) -> Graph:
     """Erdos-Renyi random graph: each pair is an edge independently with probability p.
 
     Deterministic for a fixed seed: pairs are visited in lexicographic
@@ -165,7 +163,10 @@ def gnp(n: int, p: float, seed: int | None = None) -> Graph:
     return Graph(n, ((u, v) for u, v in combinations(range(n), 2) if rng.random() < p))
 
 
-def random_regular(n: int, d: int, seed: int | None = None, max_tries: int = 2000) -> Graph:
+_REGULAR_TRIES = 2000
+
+
+def random_regular(n: int, d: int, seed: int = 0) -> Graph:
     """Random d-regular graph via the configuration model.
 
     Pairings with loops or repeated edges are rejected and resampled, which
@@ -175,7 +176,7 @@ def random_regular(n: int, d: int, seed: int | None = None, max_tries: int = 200
         raise ValueError(f"infeasible regular graph parameters n={n}, d={d} (need n*d even, 0 <= d < n)")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
-    for _ in range(max_tries):
+    for _ in range(_REGULAR_TRIES):
         rng.shuffle(stubs)
         pairs = list(zip(stubs[::2], stubs[1::2]))
         seen = set()
@@ -187,7 +188,7 @@ def random_regular(n: int, d: int, seed: int | None = None, max_tries: int = 200
             seen.add((min(u, v), max(u, v)))
         if ok:
             return Graph(n, pairs)
-    raise ValueError(f"configuration model failed to produce a simple graph after {max_tries} tries")
+    raise ValueError(f"configuration model failed to produce a simple graph after {_REGULAR_TRIES} tries")
 
 
 class Family(NamedTuple):
@@ -198,8 +199,7 @@ class Family(NamedTuple):
     seeded: bool = False
 
 
-# Name -> family, in the order error messages list them. ``join`` and
-# ``disjoint_union`` combine child specs and are handled by ``build`` itself.
+# Name -> family, in the order error messages list them.
 FAMILIES: dict[str, Family] = {
     "complete": Family(complete, (int,)),
     "complete_bipartite": Family(complete_bipartite, (int, int)),
@@ -215,9 +215,6 @@ FAMILIES: dict[str, Family] = {
     "random_regular": Family(random_regular, (int, int), seeded=True),
 }
 
-_COMBINATORS = {"join": join, "disjoint_union": disjoint_union}
-
-
 def _typed_params(spec: GraphFamilySpec, types: tuple[type, ...]) -> list[int | float]:
     if len(spec.params) != len(types):
         raise ValueError(f"family {spec.family!r} takes {len(types)} parameter(s), got {len(spec.params)}")
@@ -231,10 +228,6 @@ def _typed_params(spec: GraphFamilySpec, types: tuple[type, ...]) -> list[int | 
 
 def build(spec: GraphFamilySpec) -> Graph:
     """Construct the graph described by a family spec; deterministic for fixed spec."""
-    if spec.family in _COMBINATORS:
-        if len(spec.children) != 2:
-            raise ValueError(f"family {spec.family!r} combines exactly two child specs")
-        return _COMBINATORS[spec.family](*(build(c) for c in spec.children))
     family = FAMILIES.get(spec.family)
     if family is None:
         raise ValueError(f"unknown graph family {spec.family!r}")

@@ -51,9 +51,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.masks[u] >> v) & 1)
 
@@ -102,9 +99,6 @@ class VertexSet:
         vs.mask = mask
         vs.size = mask.bit_count()
         return vs
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(self)
 
     def __contains__(self, v: int) -> bool:
         return v >= 0 and bool((self.mask >> v) & 1)

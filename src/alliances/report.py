@@ -19,7 +19,7 @@ from .alliance_solver import (
 from .generators import GraphFamilySpec, build
 from .graph_core import Graph, degree_stats, girth, is_connected
 from .io_formats import write_edgelist
-from .spectral import DEFAULT_TOL, UndefinedQuantityError, spectral_summary
+from .spectral import UndefinedQuantityError, spectral_summary
 
 __all__ = [
     "DEFAULT_SPECS",
@@ -91,7 +91,6 @@ def analyze(
     theorems: Sequence[str] | None = None,
     bounds_only: bool = False,
     limits: SearchLimits | None = None,
-    tol: float = DEFAULT_TOL,
     deterministic: bool = False,
 ) -> dict:
     """Analyze one graph: metadata, spectra, exact values, bounds, gaps.
@@ -109,13 +108,13 @@ def analyze(
     stats = degree_stats(g)
     girth_value = girth(g)
     try:
-        summary = spectral_summary(g, tol)
+        summary = spectral_summary(g)
     except UndefinedQuantityError:
         summary = None
 
     exact: dict[str, dict] = {}
     if not bounds_only:
-        if g.n > limits.max_n and not limits.allow_large:
+        if g.n > limits.max_n:
             note = f"skipped: order {g.n} exceeds solver ceiling {limits.max_n}"
             exact = {name: {"skipped": note} for name in spec_names}
         else:
@@ -185,14 +184,15 @@ def survey_rows(
     seed: int = 0,
     *,
     limits: SearchLimits | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> Iterator[dict]:
     """Yield one soundness/tightness row per sampled graph.
 
-    Sample ``i`` uses family seed ``seed + i`` (ignored by deterministic
-    families). Raises :class:`SoundnessViolation` the moment any applicable
-    bound exceeds its exact target; the offending graph travels with the
-    exception in edge-list form.
+    Sample ``i`` uses family seed ``seed + i`` in place of ``spec.seed``
+    (ignored by deterministic families). The check needs exact values, so a
+    sample above ``limits.max_n`` raises :class:`ResourceLimitError`. Raises
+    :class:`SoundnessViolation` the moment any applicable bound exceeds its
+    exact target; the offending graph travels with the exception in
+    edge-list form.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -200,11 +200,11 @@ def survey_rows(
     for index in range(count):
         sample_seed = seed + index
         g = build(replace(spec, seed=sample_seed))
-        if g.n > limits.max_n and not limits.allow_large:
+        if g.n > limits.max_n:
             raise ResourceLimitError(
                 f"survey needs exact values but sample order {g.n} exceeds the solver ceiling {limits.max_n}"
             )
-        report = analyze(g, label=f"{spec.family}[{index}]", limits=limits, tol=tol, deterministic=True)
+        report = analyze(g, label=f"{spec.family}[{index}]", limits=limits, deterministic=True)
         violations = [
             row
             for row in report["bounds"]

@@ -124,8 +124,11 @@ def jacobi_spectrum(
     raise AssertionError("unreachable")
 
 
-def spectral_summary(g: Graph, tol: float = DEFAULT_TOL) -> SpectralSummary:
+def spectral_summary(g: Graph) -> SpectralSummary:
     """Compute the full Laplacian spectrum and adjacency spectral radius.
+
+    Both matrices are solved to the fixed off-diagonal residual
+    ``DEFAULT_TOL``, which the integer snapping in :mod:`bounds` relies on.
 
     Raises :class:`UndefinedQuantityError` for graphs of order 1, where the
     algebraic connectivity does not exist. Disconnected graphs are fine: the
@@ -134,8 +137,8 @@ def spectral_summary(g: Graph, tol: float = DEFAULT_TOL) -> SpectralSummary:
     """
     if g.n < 2:
         raise UndefinedQuantityError("algebraic connectivity is undefined for graphs of order < 2")
-    lap_spectrum, lap_sweeps, lap_residual = jacobi_spectrum(laplacian_matrix(g), tol)
-    adj_spectrum, adj_sweeps, adj_residual = jacobi_spectrum(adjacency_matrix(g), tol)
+    lap_spectrum, lap_sweeps, lap_residual = jacobi_spectrum(laplacian_matrix(g))
+    adj_spectrum, adj_sweeps, adj_residual = jacobi_spectrum(adjacency_matrix(g))
     # For a nonnegative symmetric matrix the largest eigenvalue is the spectral radius.
     return SpectralSummary(
         spectral_radius=float(adj_spectrum[-1]),

@@ -246,11 +246,6 @@ class TestLimits:
         with pytest.raises(ResourceLimitError):
             min_alliance_number(g, DEFENSIVE)
 
-    def test_ceiling_override(self):
-        g = generators.path(30)
-        result = min_alliance_number(g, DEFENSIVE, SearchLimits(allow_large=True))
-        assert result.value == 1  # a path endpoint defends itself
-
     def test_custom_ceiling(self):
         g = generators.path(30)
         assert min_alliance_number(g, DEFENSIVE, SearchLimits(max_n=30)).value == 1

@@ -143,10 +143,20 @@ class TestAnalyze:
         report = json.loads(out)
         assert all("skipped" in entry for entry in report["exact"].values())
 
-    def test_env_ceiling(self, capsys, monkeypatch):
-        monkeypatch.setenv("ALLIANCE_MAX_N", "4")
-        _, out, _ = run(capsys, "analyze", "complete:6", "--specs", "def", "--deterministic")
-        assert "skipped" in json.loads(out)["exact"]["defensive"]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "cycle:12", "--tol", "0.1"],
+            ["survey", "gnp:8:0.5", "--count", "30", "--seed", "1", "--tol", "0.1"],
+        ],
+    )
+    def test_tolerance_is_not_an_option(self, capsys, argv):
+        # The integer snapping of the bounds is sound only at the fixed
+        # eigensolver tolerance; a loose one once gave bound 7 > exact 6.
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_unknown_source_exits_2(self, capsys):
         code, _, err = run(capsys, "analyze", "no_such_thing")
@@ -239,6 +249,12 @@ class TestGenerate:
         assert code == 2
         assert out == ""
         assert err == "alliance: error: configuration model failed to produce a simple graph after 2000 tries\n"
+
+    def test_unseeded_family_uses_seed_zero(self, capsys):
+        _, unseeded, _ = run(capsys, "generate", "gnp:14:0.5")
+        _, again, _ = run(capsys, "generate", "gnp:14:0.5")
+        _, seeded, _ = run(capsys, "generate", "gnp:14:0.5:seed=0")
+        assert unseeded == again == seeded
 
     def test_bowtie_alias_for_join(self, capsys):
         code, out, _ = run(capsys, "generate", "bowtie")

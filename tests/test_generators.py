@@ -105,17 +105,6 @@ def test_random_regular():
 def test_build_dispatch():
     assert build(GraphFamilySpec("petersen")) == generators.petersen()
     assert build(GraphFamilySpec("complete", (6,))) == generators.complete(6)
-    nested = GraphFamilySpec(
-        "join",
-        children=(
-            GraphFamilySpec("complete", (1,)),
-            GraphFamilySpec(
-                "disjoint_union",
-                children=(GraphFamilySpec("complete", (2,)), GraphFamilySpec("complete", (2,))),
-            ),
-        ),
-    )
-    assert build(nested) == generators.bowtie()
 
 
 def test_build_rejects_bad_specs():
@@ -127,8 +116,6 @@ def test_build_rejects_bad_specs():
         build(GraphFamilySpec("cycle", (3.5,)))
     with pytest.raises(ValueError, match="takes integer parameters"):
         build(GraphFamilySpec("gnp", (10.5, 0.5), seed=1))
-    with pytest.raises(ValueError, match="child"):
-        build(GraphFamilySpec("join"))
 
 
 def test_build_gnp_deterministic_with_seed():
