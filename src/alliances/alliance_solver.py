@@ -14,6 +14,24 @@ ranges, so the full vertex set satisfies every variant and minima exist.
 
 Nothing here requires an alliance to induce a connected subgraph; the
 definitions do not ask for it.
+
+The exact search decides vertices in index order and, besides the
+per-vertex thresholds, prunes with a counting bound taken from the same
+conditions (never from the paper's theorems, which the survey checks
+against these values). Let D be the total shortfall of in-neighbors over
+all vertices, members measured against their member threshold and
+non-members against their outsider one, T the largest outsider need and Δ
+the maximum degree. A new member lowers D by at most Δ+T: at most Δ
+neighbors gain one in-neighbor, and the member drops its own outsider need.
+So with r members still to place, D > r*(Δ+T) cannot be fixed.
+
+Where every outsider needs a member neighbor, each non-member without one
+adds at least 1 to D. For domination D counts exactly those vertices and
+T = 1, so the bound is the coverage argument gamma >= n/(Δ+1) applied at
+every node: more than r*(Δ+1) undominated vertices cannot be fixed.
+
+The bound never discards a satisfying set, so values and witnesses are the
+same as without it.
 """
 
 from __future__ import annotations
@@ -115,6 +133,12 @@ class SearchLimits:
     max_n: int = 24
     max_nodes: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.max_n < 1:
+            raise ValueError(f"max_n must be at least 1, got {self.max_n}")
+        if self.max_nodes is not None and self.max_nodes < 1:
+            raise ValueError(f"max_nodes must be at least 1, got {self.max_nodes}")
+
 
 class ResourceLimitError(RuntimeError):
     pass
@@ -200,6 +224,19 @@ def _search_exact(
     can no longer be dominated. The decided prefix ``status[:u]`` is the
     search stack, so the depth (the graph order) is not bounded by the
     recursion limit.
+
+    A deficit bound prunes at the root and after every join. D sums
+    ``max(0, need_v - in_v)`` over all vertices, where ``need_v`` is the
+    in-neighbor count the conditions ask of v as a member or as a
+    non-member. A new member raises ``in`` of at most Δ (the maximum
+    degree) vertices by one and drops its own non-member need of at most T
+    (the largest one), so with ``r = k - chosen`` members still to place,
+    ``D > r*(Δ+T)`` is hopeless. For domination this is the coverage bound:
+    D is the number of undominated vertices and T = 1.
+
+    The bound only discards subtrees with no satisfying k-set, so the first
+    hit and the witness are unchanged; only the node count drops. An out
+    decision changes neither D nor r, so its node needs no check.
     """
     n = g.n
     adjacency = g.adjacency
@@ -211,6 +248,14 @@ def _search_exact(
     outside_need = cond.outside_need
     outside_all = cond.outside_all
     dominate = cond.dominate
+    # In-neighbor counts each vertex needs as a member and as a non-member.
+    need_in = [0 if member_slack is None else max(0, -(-(d + member_slack) // 2)) for d in degree]
+    need_out = [
+        max(int(dominate), -(-(d + outside_need) // 2) if outside_need is not None and outside_all else 0)
+        for d in degree
+    ]
+    deficit = sum(need_out)  # every vertex starts as a non-member
+    per_member = max(degree, default=0) + max(need_out, default=0)
 
     def vertex_ok(v: int) -> bool:
         potential = in_count[v] + undecided[v]
@@ -224,14 +269,25 @@ def _search_exact(
         return True
 
     def retract(v: int) -> bool:
+        nonlocal deficit
         joined = status[v] == _IN
+        status[v] = _UNDECIDED
+        if not joined:
+            for w in adjacency[v]:
+                undecided[w] += 1
+            return False
         for w in adjacency[v]:
             undecided[w] += 1
-            if joined:
-                in_count[w] -= 1
-        status[v] = _UNDECIDED
-        return joined
+            c = in_count[w] - 1
+            in_count[w] = c
+            if c < (need_in[w] if status[w] == _IN else need_out[w]):
+                deficit += 1
+        c = in_count[v]
+        deficit += max(0, need_out[v] - c) - max(0, need_in[v] - c)
+        return True
 
+    if deficit > k * per_member:
+        return None
     chosen = 0
     smask = 0
     u = 0
@@ -248,12 +304,22 @@ def _search_exact(
                     cardinality=k,
                     nodes_explored=counter["nodes"],
                 )
-            status[u] = _IN if joins else _OUT
-            for w in adjacency[u]:
-                undecided[w] -= 1
-                if joins:
-                    in_count[w] += 1
-            ok = vertex_ok(u)
+            if joins:
+                status[u] = _IN
+                c = in_count[u]
+                deficit += max(0, need_in[u] - c) - max(0, need_out[u] - c)
+                for w in adjacency[u]:
+                    undecided[w] -= 1
+                    c = in_count[w]
+                    in_count[w] = c + 1
+                    if c < (need_in[w] if status[w] == _IN else need_out[w]):
+                        deficit -= 1
+                ok = deficit <= (k - chosen - 1) * per_member and vertex_ok(u)
+            else:
+                status[u] = _OUT
+                for w in adjacency[u]:
+                    undecided[w] -= 1
+                ok = vertex_ok(u)
             if ok:
                 for w in adjacency[u]:
                     if status[w] != _UNDECIDED and not vertex_ok(w):

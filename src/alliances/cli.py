@@ -72,8 +72,11 @@ def _load_source(source: str, input_format: str) -> tuple[Graph, tuple[str, ...]
         graph, labels = parse_graph(data, fmt)
         return graph, labels, "stdin"
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as handle:
-            data = handle.read()
+        try:
+            with open(source, "r", encoding="utf-8") as handle:
+                data = handle.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read {source!r}: {exc.strerror or exc}") from None
         fmt = _sniff_format(source, data, input_format)
         graph, labels = parse_graph(data, fmt)
         return graph, labels, os.path.basename(source)

@@ -17,6 +17,9 @@ from alliances.alliance_solver import (
     is_dominating_set,
     min_alliance_number,
     spec_from_name,
+    _DOMINATION,
+    _conditions,
+    _search_exact,
 )
 from alliances.graph_core import Graph, VertexSet, degree_stats, girth
 
@@ -257,6 +260,11 @@ class TestLimits:
         assert exc_info.value.nodes_explored > 50 - 2
         assert exc_info.value.cardinality >= 1
 
+    @pytest.mark.parametrize("limits", [{"max_n": 0}, {"max_n": -1}, {"max_nodes": 0}, {"max_nodes": -5}])
+    def test_nonpositive_limits_are_rejected(self, limits):
+        with pytest.raises(ValueError):
+            SearchLimits(**limits)
+
     def test_deep_path_needs_no_recursion(self):
         # The search depth equals the order, beyond the default recursion limit of 1000.
         result = min_alliance_number(generators.path(1200), DEFENSIVE, SearchLimits(max_n=2000))
@@ -267,19 +275,20 @@ class TestLimits:
 class TestSearchTree:
     def test_corpus_node_counts_are_pinned(self, corpus):
         # Totals over the named corpus of the index-order, in-branch-first
-        # search; a change to the tree walk or its pruning shows here.
+        # search with the deficit bound; a change to the tree walk or its
+        # pruning shows here.
         expected = {
-            "defensive": 1683,
-            "strong_defensive": 3170,
-            "global_defensive": 4883,
-            "global_strong_defensive": 4264,
+            "defensive": 983,
+            "strong_defensive": 2107,
+            "global_defensive": 2696,
+            "global_strong_defensive": 2689,
             "offensive": 3318,
             "strong_offensive": 4113,
-            "global_offensive": 3140,
-            "global_strong_offensive": 3522,
-            "global_dual": 4095,
-            "global_strong_dual": 3395,
-            "domination": 682,
+            "global_offensive": 637,
+            "global_strong_offensive": 1249,
+            "global_dual": 1117,
+            "global_strong_dual": 1080,
+            "domination": 167,
         }
         totals = dict.fromkeys(expected, 0)
         for g in corpus.values():
@@ -287,3 +296,23 @@ class TestSearchTree:
                 totals[name] += min_alliance_number(g, spec_from_name(name)).nodes_explored
             totals["domination"] += domination_number(g).nodes_explored
         assert totals == expected
+
+    @pytest.mark.parametrize(
+        ("cond", "optimum"),
+        [
+            # 24 undominated vertices, and a member dominates at most 3
+            (_DOMINATION, 8),
+            # each outsider needs both neighbors, 48 in all, and a member
+            # adds at most 2 and removes a need of at most 2
+            (_conditions(GLOBAL_OFFENSIVE), 12),
+        ],
+    )
+    def test_deficit_bound_rejects_infeasible_k_at_the_root(self, cond, optimum):
+        g = generators.cycle(24)
+        for k in range(1, optimum):
+            counter = {"nodes": 0}
+            assert _search_exact(g, k, cond, counter, None) is None
+            assert counter["nodes"] == 0, k
+        counter = {"nodes": 0}
+        assert _search_exact(g, optimum, cond, counter, None) is not None
+        assert counter["nodes"] > 0

@@ -170,6 +170,40 @@ class TestAnalyze:
         assert code == 2
         assert "self-loop" in err
 
+    def test_directory_source_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "analyze", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "parse error" in err and "cannot read" in err
+
+    def test_unreadable_file_exits_2(self, capsys, monkeypatch, tmp_path):
+        source = tmp_path / "locked.edges"
+        source.write_text("a b\n")
+
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(source))
+
+        # chmod does not stop a superuser from reading, so deny at open()
+        monkeypatch.setattr("alliances.cli.open", denied, raising=False)
+        code, out, err = run(capsys, "analyze", str(source))
+        assert code == 2
+        assert out == ""
+        assert "Permission denied" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "petersen", "--max-n", "-1"],
+            ["analyze", "petersen", "--max-n", "0"],
+            ["survey", "complete:4", "--count", "1", "--max-n", "0"],
+        ],
+    )
+    def test_nonpositive_ceiling_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "max_n must be at least 1" in err
+
     def test_bad_spec_token_exits_2(self, capsys):
         code, _, err = run(capsys, "analyze", "petersen", "--specs", "def,bogus")
         assert code == 2
