@@ -31,8 +31,6 @@ from .spectral import (
     ConvergenceError,
     SpectralSummary,
     UndefinedQuantityError,
-    power_iteration_radius,
-    rayleigh_indicator,
     spectral_summary,
 )
 

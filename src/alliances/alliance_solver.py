@@ -15,6 +15,10 @@ ranges, so the full vertex set satisfies every variant and minima exist.
 Nothing here requires an alliance to induce a connected subgraph; the
 definitions do not ask for it.
 
+Each variant is one row of ``VARIANTS``: its name and these thresholds,
+with domination as a last row of the same form. ``SPEC_NAMES``,
+``spec_from_name``, the predicates and the search all read that table.
+
 The exact search decides vertices in index order and, besides the
 per-vertex thresholds, prunes with a counting bound taken from the same
 conditions (never from the paper's theorems, which the survey checks
@@ -46,6 +50,7 @@ __all__ = [
     "SearchLimits",
     "ResourceLimitError",
     "SearchBudgetExceeded",
+    "VARIANTS",
     "SPEC_NAMES",
     "spec_from_name",
     "is_alliance",
@@ -54,7 +59,36 @@ __all__ = [
     "domination_number",
 ]
 
-_KINDS = ("defensive", "offensive", "dual")
+
+@dataclass(frozen=True)
+class _Conditions:
+    """Per-vertex integer thresholds for one alliance variant."""
+
+    member_slack: int | None  # member v needs 2*in >= deg(v) + member_slack
+    outside_need: int | None  # constrained outsider v needs 2*in >= deg(v) + outside_need
+    outside_all: bool  # outsider condition applies to all of V\S, not just the boundary
+    dominate: bool  # every outsider needs at least one neighbor in S
+
+
+# Every variant the solver knows, in the order ``analyze --all`` reports
+# them. A global offensive (or dual) outsider needs 2*in >= deg+1, which
+# already forces a member neighbor, so only the global defensive rows set
+# ``dominate``. Domination is not an alliance and comes last.
+VARIANTS: dict[str, _Conditions] = {
+    "defensive": _Conditions(-1, None, False, False),
+    "strong_defensive": _Conditions(0, None, False, False),
+    "global_defensive": _Conditions(-1, None, False, True),
+    "global_strong_defensive": _Conditions(0, None, False, True),
+    "global_offensive": _Conditions(None, 1, True, False),
+    "global_strong_offensive": _Conditions(None, 2, True, False),
+    "global_dual": _Conditions(-1, 1, True, False),
+    "global_strong_dual": _Conditions(0, 2, True, False),
+    "offensive": _Conditions(None, 1, False, False),
+    "strong_offensive": _Conditions(None, 2, False, False),
+    "domination": _Conditions(None, None, False, True),
+}
+
+SPEC_NAMES: tuple[str, ...] = tuple(name for name in VARIANTS if name != "domination")
 
 
 @dataclass(frozen=True)
@@ -66,10 +100,8 @@ class AllianceSpec:
     global_: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.kind == "dual" and not self.global_:
-            raise ValueError("dual alliance numbers are defined for the global variant only")
+        if self.name not in SPEC_NAMES:
+            raise ValueError(f"no alliance variant {self.name!r}; valid names: {', '.join(SPEC_NAMES)}")
 
     @property
     def name(self) -> str:
@@ -82,37 +114,11 @@ class AllianceSpec:
         return "_".join(parts)
 
 
-SPEC_NAMES: tuple[str, ...] = (
-    "defensive",
-    "strong_defensive",
-    "global_defensive",
-    "global_strong_defensive",
-    "offensive",
-    "strong_offensive",
-    "global_offensive",
-    "global_strong_offensive",
-    "global_dual",
-    "global_strong_dual",
-)
-
-_SPECS_BY_NAME = {
-    spec.name: spec
-    for spec in (
-        AllianceSpec(kind, strong, global_)
-        for kind in ("defensive", "offensive")
-        for strong in (False, True)
-        for global_ in (False, True)
-    )
-}
-_SPECS_BY_NAME["global_dual"] = AllianceSpec("dual", strong=False, global_=True)
-_SPECS_BY_NAME["global_strong_dual"] = AllianceSpec("dual", strong=True, global_=True)
-
-
 def spec_from_name(name: str) -> AllianceSpec:
-    try:
-        return _SPECS_BY_NAME[name]
-    except KeyError:
-        raise ValueError(f"unknown alliance spec {name!r}; valid names: {', '.join(SPEC_NAMES)}") from None
+    if name not in SPEC_NAMES:
+        raise ValueError(f"unknown alliance spec {name!r}; valid names: {', '.join(SPEC_NAMES)}")
+    *flags, kind = name.split("_")
+    return AllianceSpec(kind, strong="strong" in flags, global_="global" in flags)
 
 
 @dataclass(frozen=True)
@@ -151,28 +157,6 @@ class SearchBudgetExceeded(ResourceLimitError):
         self.nodes_explored = nodes_explored
 
 
-@dataclass(frozen=True)
-class _Conditions:
-    """Per-vertex integer thresholds for one alliance variant."""
-
-    member_slack: int | None  # member v needs 2*in >= deg(v) + member_slack
-    outside_need: int | None  # constrained outsider v needs 2*in >= deg(v) + outside_need
-    outside_all: bool  # outsider condition applies to all of V\S, not just the boundary
-    dominate: bool  # every outsider needs at least one neighbor in S
-
-
-def _conditions(spec: AllianceSpec) -> _Conditions:
-    if spec.kind == "defensive":
-        return _Conditions(0 if spec.strong else -1, None, False, spec.global_)
-    if spec.kind == "offensive":
-        # The global variant already forces domination: 2*in >= deg+1 implies in >= 1.
-        return _Conditions(None, 2 if spec.strong else 1, spec.global_, False)
-    return _Conditions(0 if spec.strong else -1, 2 if spec.strong else 1, True, False)
-
-
-_DOMINATION = _Conditions(None, None, False, True)
-
-
 def _satisfies(g: Graph, smask: int, cond: _Conditions) -> bool:
     masks = g.masks
     for v in range(g.n):
@@ -194,7 +178,7 @@ def is_alliance(g: Graph, s: VertexSet, spec: AllianceSpec) -> bool:
     _check_set(g, s)
     if s.size == 0:
         raise ValueError("alliances are nonempty by definition")
-    return _satisfies(g, s.mask, _conditions(spec))
+    return _satisfies(g, s.mask, VARIANTS[spec.name])
 
 
 def is_dominating_set(g: Graph, s: VertexSet) -> bool:
@@ -202,7 +186,7 @@ def is_dominating_set(g: Graph, s: VertexSet) -> bool:
     _check_set(g, s)
     if s.size == 0:
         raise ValueError("dominating sets are nonempty by definition")
-    return _satisfies(g, s.mask, _DOMINATION)
+    return _satisfies(g, s.mask, VARIANTS["domination"])
 
 
 _UNDECIDED, _IN, _OUT = 0, 1, 2
@@ -218,21 +202,23 @@ def _search_exact(
     """Lexicographically smallest satisfying k-subset, or None.
 
     Vertices are decided in/out in index order, in-branch first, so the
-    first hit is the lexicographically smallest satisfying k-subset. A
-    branch is pruned as soon as some decided vertex can no longer meet its
-    threshold even if every undecided neighbor joined, or a decided outsider
-    can no longer be dominated. The decided prefix ``status[:u]`` is the
+    first hit is the lexicographically smallest satisfying k-subset. Each
+    vertex's thresholds are turned into in-neighbor counts once:
+    ``need_in`` as a member, ``need_out`` as a non-member and
+    ``need_touched`` as a non-member with a member neighbor. A branch is
+    pruned as soon as some decided vertex falls short of its count even if
+    every undecided neighbor joined. The decided prefix ``status[:u]`` is the
     search stack, so the depth (the graph order) is not bounded by the
     recursion limit.
 
     A deficit bound prunes at the root and after every join. D sums
-    ``max(0, need_v - in_v)`` over all vertices, where ``need_v`` is the
-    in-neighbor count the conditions ask of v as a member or as a
-    non-member. A new member raises ``in`` of at most Δ (the maximum
-    degree) vertices by one and drops its own non-member need of at most T
-    (the largest one), so with ``r = k - chosen`` members still to place,
-    ``D > r*(Δ+T)`` is hopeless. For domination this is the coverage bound:
-    D is the number of undominated vertices and T = 1.
+    ``max(0, need_v - in_v)`` over all vertices, where ``need_v`` is
+    ``need_in`` for a member and ``need_out`` otherwise. A new member
+    raises ``in`` of at most Δ (the maximum degree) vertices by one and
+    drops its own non-member need of at most T (the largest one), so with
+    ``r = k - chosen`` members still to place, ``D > r*(Δ+T)`` is hopeless.
+    For domination this is the coverage bound: D is the number of
+    undominated vertices and T = 1.
 
     The bound only discards subtrees with no satisfying k-set, so the first
     hit and the witness are unchanged; only the node count drops. An out
@@ -246,27 +232,19 @@ def _search_exact(
     undecided = list(degree)
     member_slack = cond.member_slack
     outside_need = cond.outside_need
-    outside_all = cond.outside_all
-    dominate = cond.dominate
-    # In-neighbor counts each vertex needs as a member and as a non-member.
+    dominate = int(cond.dominate)
+    # 2*in >= deg + c is in >= ceil((deg + c) / 2).
     need_in = [0 if member_slack is None else max(0, -(-(d + member_slack) // 2)) for d in degree]
-    need_out = [
-        max(int(dominate), -(-(d + outside_need) // 2) if outside_need is not None and outside_all else 0)
-        for d in degree
-    ]
+    need_touched = [max(dominate, 0 if outside_need is None else -(-(d + outside_need) // 2)) for d in degree]
+    need_out = need_touched if cond.outside_all else [dominate] * n
     deficit = sum(need_out)  # every vertex starts as a non-member
     per_member = max(degree, default=0) + max(need_out, default=0)
 
     def vertex_ok(v: int) -> bool:
         potential = in_count[v] + undecided[v]
         if status[v] == _IN:
-            return member_slack is None or 2 * potential >= degree[v] + member_slack
-        if dominate and potential == 0:
-            return False
-        if outside_need is not None and (outside_all or in_count[v] > 0):
-            if 2 * potential < degree[v] + outside_need:
-                return False
-        return True
+            return potential >= need_in[v]
+        return potential >= (need_touched[v] if in_count[v] else need_out[v])
 
     def retract(v: int) -> bool:
         nonlocal deficit
@@ -376,9 +354,9 @@ def min_alliance_number(g: Graph, spec: AllianceSpec, limits: SearchLimits | Non
     order, so the witness is the lexicographically smallest minimum set.
     Always terminates: the full vertex set qualifies.
     """
-    return _minimize(g, _conditions(spec), limits)
+    return _minimize(g, VARIANTS[spec.name], limits)
 
 
 def domination_number(g: Graph, limits: SearchLimits | None = None) -> AllianceResult:
     """Exact minimum cardinality of a dominating set."""
-    return _minimize(g, _DOMINATION, limits)
+    return _minimize(g, VARIANTS["domination"], limits)

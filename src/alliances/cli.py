@@ -4,8 +4,8 @@ Graph sources are a file path, ``-`` for standard input, or a family spec
 string with the grammar ``name[:p1[:p2]][:seed=S]``, for example
 ``petersen``, ``complete:6``, ``grid:2:3``, ``gnp:20:0.3:seed=7``.
 
-Exit codes: 0 success, 2 parse/usage error, 3 resource limit,
-4 soundness violation detected by ``survey``.
+Exit codes: 0 success, 1 standard output closed by its reader, 2 parse/usage
+error, 3 resource limit, 4 soundness violation detected by ``survey``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Iterable, Iterator
 
-from .alliance_solver import ResourceLimitError, SearchLimits
+from .alliance_solver import ResourceLimitError, SearchLimits, VARIANTS
 from .generators import FAMILIES, GraphFamilySpec, build
 from .graph_core import Graph
 from .io_formats import ParseError, parse_graph, write_edgelist, write_graph6
@@ -89,7 +89,7 @@ def _load_source(source: str, input_format: str) -> tuple[Graph, tuple[str, ...]
 
 def _parse_specs(value: str | None, all_flag: bool) -> tuple[str, ...] | None:
     if all_flag:
-        return tuple(EXACT_SPECS.values())
+        return tuple(VARIANTS)
     if value is None:
         return None  # analyze() falls back to its default set
     names = []
@@ -133,7 +133,7 @@ def _echoed(rows: Iterable[dict]) -> Iterator[dict]:
 
 def _cmd_survey(args: argparse.Namespace) -> int:
     spec = parse_family(args.family)
-    rows = survey_rows(spec, args.count, args.seed, limits=SearchLimits(max_n=args.max_n))
+    rows = survey_rows(spec, args.count, spec.seed, limits=SearchLimits(max_n=args.max_n))
     stream = args.format == "json"
     summary = summarize_survey(_echoed(rows) if stream else rows)
     if stream:
@@ -172,9 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze_p.set_defaults(func=_cmd_analyze)
 
     survey_p = sub.add_parser("survey", help="sample a family and certify bound soundness")
-    survey_p.add_argument("family", help="family spec string, e.g. gnp:8:0.5")
+    survey_p.add_argument("family", help="family spec string, e.g. gnp:8:0.5:seed=7 (sample i uses seed 7+i)")
     survey_p.add_argument("--count", type=int, required=True)
-    survey_p.add_argument("--seed", type=int, default=0)
     survey_p.add_argument("--format", choices=("json", "csv"), default="json")
     survey_p.add_argument("--max-n", type=int, default=SearchLimits().max_n, help="solver ceiling")
     survey_p.set_defaults(func=_cmd_survey)
@@ -190,7 +189,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``alliance survey ... | head -1``).
+        # Point stdout at devnull so the interpreter's last flush of what is
+        # still buffered does not fail again at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"alliance: parse error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ from . import bounds as bounds_mod
 from .alliance_solver import (
     ResourceLimitError,
     SearchLimits,
+    VARIANTS,
     domination_number,
     min_alliance_number,
     spec_from_name,
@@ -33,7 +34,8 @@ __all__ = [
     "summary_to_csv",
 ]
 
-# CLI token -> exact value name, in the order ``analyze --all`` reports them.
+# CLI token -> exact value name, one per row of ``alliance_solver.VARIANTS``
+# and in its order.
 EXACT_SPECS: dict[str, str] = {
     "def": "defensive",
     "strongdef": "strong_defensive",
@@ -50,7 +52,7 @@ EXACT_SPECS: dict[str, str] = {
 
 # By default only the values some theorem bounds are computed; the
 # non-global offensive numbers are computed only on request.
-DEFAULT_SPECS: tuple[str, ...] = tuple(name for name in EXACT_SPECS.values() if name in bounds_mod.TARGETS)
+DEFAULT_SPECS: tuple[str, ...] = tuple(name for name in VARIANTS if name in bounds_mod.TARGETS)
 
 
 class SoundnessViolation(RuntimeError):
@@ -102,8 +104,8 @@ def analyze(
     limits = limits or SearchLimits()
     spec_names = tuple(specs) if specs is not None else DEFAULT_SPECS
     for name in spec_names:
-        if name not in EXACT_SPECS.values():
-            raise ValueError(f"unknown alliance spec {name!r}; valid names: {', '.join(EXACT_SPECS.values())}")
+        if name not in VARIANTS:
+            raise ValueError(f"unknown alliance spec {name!r}; valid names: {', '.join(VARIANTS)}")
 
     stats = degree_stats(g)
     girth_value = girth(g)

@@ -12,13 +12,12 @@ from alliances.alliance_solver import (
     SearchBudgetExceeded,
     SearchLimits,
     SPEC_NAMES,
+    VARIANTS,
     domination_number,
     is_alliance,
     is_dominating_set,
     min_alliance_number,
     spec_from_name,
-    _DOMINATION,
-    _conditions,
     _search_exact,
 )
 from alliances.graph_core import Graph, VertexSet, degree_stats, girth
@@ -301,10 +300,10 @@ class TestSearchTree:
         ("cond", "optimum"),
         [
             # 24 undominated vertices, and a member dominates at most 3
-            (_DOMINATION, 8),
+            (VARIANTS["domination"], 8),
             # each outsider needs both neighbors, 48 in all, and a member
             # adds at most 2 and removes a need of at most 2
-            (_conditions(GLOBAL_OFFENSIVE), 12),
+            (VARIANTS["global_offensive"], 12),
         ],
     )
     def test_deficit_bound_rejects_infeasible_k_at_the_root(self, cond, optimum):

@@ -3,9 +3,11 @@ import json
 import pytest
 
 from alliances import generators
+from alliances.alliance_solver import VARIANTS
 from alliances.cli import main, parse_family
 from alliances.generators import GraphFamilySpec, build
 from alliances.io_formats import parse_edgelist, parse_graph6
+from alliances.report import EXACT_SPECS
 
 
 def run(capsys, *argv):
@@ -147,7 +149,7 @@ class TestAnalyze:
         "argv",
         [
             ["analyze", "cycle:12", "--tol", "0.1"],
-            ["survey", "gnp:8:0.5", "--count", "30", "--seed", "1", "--tol", "0.1"],
+            ["survey", "gnp:8:0.5:seed=1", "--count", "30", "--tol", "0.1"],
         ],
     )
     def test_tolerance_is_not_an_option(self, capsys, argv):
@@ -204,6 +206,12 @@ class TestAnalyze:
         assert out == ""
         assert "max_n must be at least 1" in err
 
+    def test_all_reports_every_variant_in_table_order(self, capsys):
+        assert tuple(EXACT_SPECS.values()) == tuple(VARIANTS)
+        code, out, _ = run(capsys, "analyze", "bowtie", "--all", "--deterministic")
+        assert code == 0
+        assert tuple(json.loads(out)["exact"]) == tuple(VARIANTS)
+
     def test_bad_spec_token_exits_2(self, capsys):
         code, _, err = run(capsys, "analyze", "petersen", "--specs", "def,bogus")
         assert code == 2
@@ -212,7 +220,7 @@ class TestAnalyze:
 
 class TestSurvey:
     def test_complete_family_is_tight_for_def_mu(self, capsys):
-        code, out, _ = run(capsys, "survey", "complete:7", "--count", "3", "--seed", "1")
+        code, out, _ = run(capsys, "survey", "complete:7:seed=1", "--count", "3")
         assert code == 0
         lines = [json.loads(line) for line in out.splitlines()]
         rows, summary = lines[:-1], lines[-1]["summary"]
@@ -222,18 +230,43 @@ class TestSurvey:
         assert def_mu["tight"] == 3 and def_mu["max_gap"] == 0
 
     def test_random_family_no_violations(self, capsys):
-        code, out, _ = run(capsys, "survey", "gnp:7:0.5", "--count", "8", "--seed", "3")
+        code, out, _ = run(capsys, "survey", "gnp:7:0.5:seed=3", "--count", "8")
         assert code == 0
         summary = json.loads(out.splitlines()[-1])["summary"]
         assert all(entry["violations"] == 0 for entry in summary)
 
     def test_random_regular_applies_girth_theorem(self, capsys):
-        code, out, _ = run(capsys, "survey", "random_regular:10:3", "--count", "5", "--seed", "2")
+        code, out, _ = run(capsys, "survey", "random_regular:10:3:seed=2", "--count", "5")
         assert code == 0
         summary = json.loads(out.splitlines()[-1])["summary"]
         girth_rows = [r for r in summary if r["theorem"] == "girth-regular-mu"]
         assert girth_rows and girth_rows[0]["applicable"] == 5
         assert girth_rows[0]["violations"] == 0
+
+    def test_family_seed_is_the_base_seed(self, capsys):
+        code, out, _ = run(capsys, "survey", "gnp:7:0.5:seed=5", "--count", "2")
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()[:-1]]
+        assert [row["seed"] for row in rows] == [5, 6]
+
+    def test_closed_stdout_exits_1_without_traceback(self, capsys, monkeypatch, tmp_path):
+        with open(tmp_path / "sink", "w") as sink:
+
+            class ClosedPipe:
+                """A pipe whose reader has exited, as its writer sees it."""
+
+                def write(self, text):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def flush(self):
+                    pass
+
+                def fileno(self):
+                    return sink.fileno()  # main points this descriptor at devnull
+
+            monkeypatch.setattr("sys.stdout", ClosedPipe())
+            assert main(["survey", "gnp:7:0.5", "--count", "3"]) == 1
+        assert capsys.readouterr().err == ""
 
     def test_csv_summary(self, capsys):
         code, out, _ = run(capsys, "survey", "complete:5", "--count", "2", "--format", "csv")
