@@ -16,8 +16,9 @@ Nothing here requires an alliance to induce a connected subgraph; the
 definitions do not ask for it.
 
 Each variant is one row of ``VARIANTS``: its name and these thresholds,
-with domination as a last row of the same form. ``SPEC_NAMES``,
-``spec_from_name``, the predicates and the search all read that table.
+with domination as a last row of the same form. An ``AllianceSpec`` is
+just the name of an alliance row; ``SPEC_NAMES``, its validation, the
+predicates and the search all read that table.
 
 The exact search decides vertices in index order and, besides the
 per-vertex thresholds, prunes with a counting bound taken from the same
@@ -93,32 +94,17 @@ SPEC_NAMES: tuple[str, ...] = tuple(name for name in VARIANTS if name != "domina
 
 @dataclass(frozen=True)
 class AllianceSpec:
-    """Which alliance variant is meant: kind x strong x global."""
+    """One alliance variant, named by its row of ``VARIANTS``."""
 
-    kind: str
-    strong: bool = False
-    global_: bool = False
+    name: str
 
     def __post_init__(self) -> None:
         if self.name not in SPEC_NAMES:
-            raise ValueError(f"no alliance variant {self.name!r}; valid names: {', '.join(SPEC_NAMES)}")
-
-    @property
-    def name(self) -> str:
-        parts = []
-        if self.global_:
-            parts.append("global")
-        if self.strong:
-            parts.append("strong")
-        parts.append(self.kind)
-        return "_".join(parts)
+            raise ValueError(f"unknown alliance spec {self.name!r}; valid names: {', '.join(SPEC_NAMES)}")
 
 
 def spec_from_name(name: str) -> AllianceSpec:
-    if name not in SPEC_NAMES:
-        raise ValueError(f"unknown alliance spec {name!r}; valid names: {', '.join(SPEC_NAMES)}")
-    *flags, kind = name.split("_")
-    return AllianceSpec(kind, strong="strong" in flags, global_="global" in flags)
+    return AllianceSpec(name)
 
 
 @dataclass(frozen=True)

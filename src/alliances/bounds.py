@@ -298,7 +298,7 @@ def evaluate_all(
         "min_degree": stats.min_degree,
         "max_degree": stats.max_degree,
         "degree": stats.regular,
-        "connected": summary.connected if summary is not None else is_connected(g),
+        "connected": is_connected(g),
         "algebraic_connectivity": summary.algebraic_connectivity if summary is not None else None,
         "spectral_radius": summary.spectral_radius if summary is not None else None,
         "laplacian_radius": summary.laplacian_radius if summary is not None else None,

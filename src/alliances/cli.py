@@ -33,15 +33,18 @@ from .report import (
 
 
 def parse_family(text: str) -> GraphFamilySpec:
-    """Parse a family spec string ``name[:p1[:p2]][:seed=S]``; a missing seed means 0."""
+    """Parse a family spec string ``name[:p1[:p2]][:seed=S]``; a missing seed
+    means 0, and a repeated one is an error."""
     parts = text.split(":")
     name = parts[0]
     if name not in FAMILIES:
         raise ValueError(f"unknown graph family {name!r}; known: {', '.join(FAMILIES)}")
     params: list[int | float] = []
-    seed = 0
+    seed: int | None = None
     for part in parts[1:]:
         if part.startswith("seed="):
+            if seed is not None:
+                raise ValueError(f"repeated seed= in {text!r}")
             seed = int(part[5:])
             continue
         try:
@@ -51,7 +54,7 @@ def parse_family(text: str) -> GraphFamilySpec:
                 params.append(float(part))
             except ValueError:
                 raise ValueError(f"bad family parameter {part!r} in {text!r}") from None
-    return GraphFamilySpec(name, tuple(params), seed=seed)
+    return GraphFamilySpec(name, tuple(params), seed=0 if seed is None else seed)
 
 
 def _sniff_format(source: str, data: str, explicit: str) -> str:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from .graph_core import Graph
+from .graph_core import MAX_ORDER, Graph, _check_order
 
 __all__ = [
     "FAMILIES",
@@ -42,6 +42,10 @@ class GraphFamilySpec:
     params: tuple[int | float, ...] = ()
     seed: int = 0
 
+    def __str__(self) -> str:
+        """The spec string ``name:p1:...:seed=S`` that ``cli.parse_family`` reads back."""
+        return ":".join((self.family, *map(str, self.params), f"seed={self.seed}"))
+
 
 def complete(n: int) -> Graph:
     """Complete graph on n vertices."""
@@ -73,6 +77,7 @@ def grid(rows: int, cols: int) -> Graph:
     """Cartesian product of two paths: the rows x cols grid."""
     if rows < 1 or cols < 1:
         raise ValueError(f"grid needs positive dimensions, got ({rows}, {cols})")
+    _check_order(rows * cols)
     edges = []
     for i in range(rows):
         for j in range(cols):
@@ -88,6 +93,8 @@ def hypercube(d: int) -> Graph:
     """d-dimensional hypercube: vertices are bitstrings, edges flip one bit."""
     if d < 0:
         raise ValueError(f"hypercube dimension must be >= 0, got {d}")
+    if d >= MAX_ORDER.bit_length():  # 2**d > MAX_ORDER, checked before 2**d is built
+        raise ValueError(f"order 2**{d} exceeds the ceiling of {MAX_ORDER} vertices")
     n = 1 << d
     return Graph(n, ((v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)))
 
@@ -126,6 +133,7 @@ def complete_minus_matching(n: int) -> Graph:
     """
     if n < 2 or n % 2:
         raise ValueError(f"complete_minus_matching needs even n >= 2, got {n}")
+    _check_order(n)
     removed = {(i, i + 1) for i in range(0, n, 2)}
     return Graph(n, (e for e in combinations(range(n), 2) if e not in removed))
 
@@ -174,6 +182,7 @@ def random_regular(n: int, d: int, seed: int = 0) -> Graph:
     """
     if d < 0 or d >= n or (n * d) % 2:
         raise ValueError(f"infeasible regular graph parameters n={n}, d={d} (need n*d even, 0 <= d < n)")
+    _check_order(n)
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(_REGULAR_TRIES):

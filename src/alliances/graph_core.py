@@ -16,7 +16,17 @@ __all__ = [
     "girth",
     "is_connected",
     "degree_stats",
+    "MAX_ORDER",
 ]
+
+# The largest order any graph may have. An ``analyze`` holds three dense
+# float64 n x n arrays, about 400 MB at this order.
+MAX_ORDER = 4096
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds the ceiling of {MAX_ORDER} vertices")
 
 
 class Graph:
@@ -27,7 +37,8 @@ class Graph:
     subset is a single AND plus popcount. Instances are immutable after
     construction and safe to share between threads.
 
-    Duplicate edges collapse silently; self-loops are rejected.
+    Duplicate edges collapse silently; self-loops are rejected, and so is
+    an order above ``MAX_ORDER``.
     """
 
     __slots__ = ("n", "m", "adjacency", "masks")
@@ -35,6 +46,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
             raise ValueError(f"graph must have at least one vertex, got n={n}")
+        _check_order(n)
         neighbor_sets: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import replace
@@ -194,14 +196,15 @@ def survey_rows(
     sample above ``limits.max_n`` raises :class:`ResourceLimitError`. Raises
     :class:`SoundnessViolation` the moment any applicable bound exceeds its
     exact target; the offending graph travels with the exception in
-    edge-list form.
+    edge-list form, and its message names the sample's family spec with its
+    seed, which ``alliance analyze <spec> --all`` replays.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     limits = limits or SearchLimits()
     for index in range(count):
-        sample_seed = seed + index
-        g = build(replace(spec, seed=sample_seed))
+        sample = replace(spec, seed=seed + index)
+        g = build(sample)
         if g.n > limits.max_n:
             raise ResourceLimitError(
                 f"survey needs exact values but sample order {g.n} exceeds the solver ceiling {limits.max_n}"
@@ -214,7 +217,7 @@ def survey_rows(
         ]
         row_out = {
             "index": index,
-            "seed": sample_seed,
+            "seed": sample.seed,
             "n": g.n,
             "m": g.m,
             "bounds": [
@@ -226,9 +229,9 @@ def survey_rows(
         }
         if violations:
             raise SoundnessViolation(
-                f"bound exceeded exact value on sample {index}: {violations[0]}",
+                f"bound exceeded exact value on sample {index} ({sample}): {violations[0]}",
                 edgelist=write_edgelist(g),
-                detail={"sample": index, "seed": sample_seed, "violations": violations},
+                detail={"sample": index, "seed": sample.seed, "violations": violations},
             )
         yield row_out
 
@@ -270,33 +273,27 @@ def report_to_json(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text, quoting a field only when it holds a comma, a quote or a newline."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def analyze_to_csv(report: dict) -> str:
     """Flatten the bounds table of an analyze report for spreadsheets."""
-    lines = ["label,theorem,target,bound,applicable,degenerate,exact,gap,reason"]
-    for row in report["bounds"]:
-        lines.append(
-            ",".join(
-                [
-                    report["label"],
-                    row["theorem"],
-                    row["target"],
-                    "" if row["value"] is None else str(row["value"]),
-                    str(row["applicable"]).lower(),
-                    str(row.get("degenerate", False)).lower(),
-                    "" if "exact" not in row else str(row["exact"]),
-                    "" if "gap" not in row else str(row["gap"]),
-                    row.get("reason", ""),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (report["label"], row["theorem"], row["target"], row["value"], str(row["applicable"]).lower(),
+         str(row.get("degenerate", False)).lower(), row.get("exact"), row.get("gap"), row.get("reason"))
+        for row in report["bounds"]
+    )
+    return _csv(("label", "theorem", "target", "bound", "applicable", "degenerate", "exact", "gap", "reason"), rows)
+
+
+_SUMMARY_COLUMNS = ("theorem", "target", "applicable", "violations", "tight", "mean_gap", "max_gap")
 
 
 def summary_to_csv(summary: Sequence[dict]) -> str:
-    lines = ["theorem,target,applicable,violations,tight,mean_gap,max_gap"]
-    for agg in summary:
-        lines.append(
-            f"{agg['theorem']},{agg['target']},{agg['applicable']},{agg['violations']},"
-            f"{agg['tight']},{agg['mean_gap']},{agg['max_gap']}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(_SUMMARY_COLUMNS, ([agg[column] for column in _SUMMARY_COLUMNS] for agg in summary))

@@ -4,7 +4,7 @@ The solver is cyclic Jacobi: simple, robust for symmetric matrices, and
 accurate far below the integer-snapping threshold used downstream. It always
 solves to the off-diagonal residual ``DEFAULT_TOL`` within ``MAX_SWEEPS``
 sweeps. The suite checks it against an independent power iteration kept with
-the tests.
+the tests. Connectivity is a graph fact, read from ``graph_core.is_connected``.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph, is_connected
+from .graph_core import Graph
 
 __all__ = [
     "SpectralSummary",
     "ConvergenceError",
     "UndefinedQuantityError",
     "adjacency_matrix",
-    "laplacian_matrix",
     "jacobi_spectrum",
     "spectral_summary",
 ]
@@ -55,7 +54,6 @@ class SpectralSummary:
     laplacian_spectrum: tuple[float, ...]
     sweeps: int
     residual: float
-    connected: bool
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -64,11 +62,6 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
         for u in g.adjacency[v]:
             a[v, u] = 1.0
     return a
-
-
-def laplacian_matrix(g: Graph) -> np.ndarray:
-    a = adjacency_matrix(g)
-    return np.diag(a.sum(axis=1)) - a
 
 
 def jacobi_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, int, float]:
@@ -130,8 +123,7 @@ def spectral_summary(g: Graph) -> SpectralSummary:
 
     Raises :class:`UndefinedQuantityError` for graphs of order 1, where the
     algebraic connectivity does not exist. Disconnected graphs are fine: the
-    second Laplacian eigenvalue is then ~0 and the ``connected`` flag lets
-    callers decide what that means for them.
+    second Laplacian eigenvalue is then ~0.
     """
     if g.n < 2:
         raise UndefinedQuantityError("algebraic connectivity is undefined for graphs of order < 2")
@@ -146,5 +138,4 @@ def spectral_summary(g: Graph) -> SpectralSummary:
         laplacian_spectrum=tuple(float(x) for x in lap_spectrum),
         sweeps=lap_sweeps + adj_sweeps,
         residual=max(lap_residual, adj_residual),
-        connected=is_connected(g),
     )

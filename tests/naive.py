@@ -1,7 +1,9 @@
 """Naive reference oracle: plain-set arithmetic over all 2^n subsets.
 
 Deliberately independent of the package internals (no bitmasks, no pruning,
-no shared predicate code) so it can arbitrate the production solver.
+no shared predicate code, not even the variant table: each variant name is
+split into its kind and flags here) so it can arbitrate the production
+solver.
 """
 
 from itertools import combinations
@@ -11,7 +13,14 @@ def _neighbors(g, v):
     return set(g.adjacency[v])
 
 
-def naive_satisfies(g, members: set, kind: str, strong: bool, global_: bool) -> bool:
+def _flags(name: str) -> tuple[str, bool, bool]:
+    """Split a variant name such as ``global_strong_dual`` into (kind, strong, global)."""
+    *flags, kind = name.split("_")
+    return kind, "strong" in flags, "global" in flags
+
+
+def naive_satisfies(g, members: set, name: str) -> bool:
+    kind, strong, global_ = _flags(name)
     everyone = set(range(g.n))
     outside = everyone - members
     if kind in ("defensive", "dual"):
@@ -42,15 +51,15 @@ def naive_dominates(g, members: set) -> bool:
     return all(_neighbors(g, v) & members for v in set(range(g.n)) - members)
 
 
-def naive_minimum(g, kind: str, strong: bool, global_: bool) -> int:
-    return naive_minimum_witness(g, kind, strong, global_)[0]
+def naive_minimum(g, name: str) -> int:
+    return naive_minimum_witness(g, name)[0]
 
 
-def naive_minimum_witness(g, kind: str, strong: bool, global_: bool) -> tuple[int, tuple[int, ...]]:
+def naive_minimum_witness(g, name: str) -> tuple[int, tuple[int, ...]]:
     """Minimum value plus the first witness in combinations order (lex smallest)."""
     for k in range(1, g.n + 1):
         for subset in combinations(range(g.n), k):
-            if naive_satisfies(g, set(subset), kind, strong, global_):
+            if naive_satisfies(g, set(subset), name):
                 return k, subset
     raise AssertionError("the full vertex set always qualifies")
 

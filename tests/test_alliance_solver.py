@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from itertools import combinations
@@ -34,9 +35,6 @@ GLOBAL_STRONG_OFFENSIVE = spec_from_name("global_strong_offensive")
 GLOBAL_DUAL = spec_from_name("global_dual")
 GLOBAL_STRONG_DUAL = spec_from_name("global_strong_dual")
 
-_KIND_FIELDS = {name: (spec_from_name(name).kind, spec_from_name(name).strong, spec_from_name(name).global_) for name in SPEC_NAMES}
-
-
 class TestAllianceSpec:
     def test_names_round_trip(self):
         for name in SPEC_NAMES:
@@ -53,6 +51,13 @@ class TestAllianceSpec:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             spec_from_name("defensive-ish")
+
+    def test_domination_is_not_an_alliance(self):
+        with pytest.raises(ValueError):
+            AllianceSpec("domination")
+
+    def test_name_is_the_only_field(self):
+        assert [field.name for field in dataclasses.fields(AllianceSpec)] == ["name"]
 
 
 class TestPredicates:
@@ -194,8 +199,7 @@ class TestWitnesses:
         assert len(irregular) >= 25
         for g in irregular:
             for name in SPEC_NAMES:
-                kind, strong, global_ = _KIND_FIELDS[name]
-                value, witness = naive_minimum_witness(g, kind, strong, global_)
+                value, witness = naive_minimum_witness(g, name)
                 result = min_alliance_number(g, spec_from_name(name))
                 assert (result.value, tuple(result.witness)) == (value, witness), (g.n, g.m, name)
             result = domination_number(g)
@@ -209,8 +213,7 @@ class TestOracleEquivalence:
             n = rng.randint(2, 8)
             g = generators.gnp(n, rng.uniform(0.15, 0.9), seed=1000 + trial)
             for name in SPEC_NAMES:
-                kind, strong, global_ = _KIND_FIELDS[name]
-                expected = naive_minimum(g, kind, strong, global_)
+                expected = naive_minimum(g, name)
                 assert min_alliance_number(g, spec_from_name(name)).value == expected, (trial, name)
             assert domination_number(g).value == naive_domination(g)
 

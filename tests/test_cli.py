@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from alliances import generators
 from alliances.alliance_solver import VARIANTS
 from alliances.cli import main, parse_family
 from alliances.generators import GraphFamilySpec, build
+from alliances.graph_core import MAX_ORDER
 from alliances.io_formats import parse_edgelist, parse_graph6
 from alliances.report import EXACT_SPECS
 
@@ -34,6 +36,14 @@ class TestFamilyGrammar:
     def test_bad_parameter(self):
         with pytest.raises(ValueError, match="bad family parameter"):
             parse_family("complete:many")
+
+    def test_repeated_seed(self, capsys):
+        with pytest.raises(ValueError, match="repeated seed"):
+            parse_family("gnp:5:0.5:seed=1:seed=2")
+        code, out, err = run(capsys, "generate", "gnp:5:0.5:seed=1:seed=2")
+        assert code == 2
+        assert out == ""
+        assert "repeated seed" in err
 
 
 class TestAnalyze:
@@ -94,12 +104,22 @@ class TestAnalyze:
         _, out, _ = run(capsys, "analyze", "complete:3")
         assert "generated_at" in json.loads(out)
 
-    def test_csv_format(self, capsys):
-        code, out, _ = run(capsys, "analyze", "petersen", "--format", "csv", "--deterministic")
+    @pytest.mark.parametrize("source", ["petersen", "cycle:6", "a,b.edges"])
+    def test_csv_format(self, capsys, tmp_path, monkeypatch, source):
+        # cycle:6 has a reason with commas, a,b.edges a label with one.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a,b.edges").write_text("x y\ny z\nz w\n")
+        code, out, _ = run(capsys, "analyze", source, "--all", "--format", "csv", "--deterministic")
         assert code == 0
-        lines = out.splitlines()
-        assert lines[0].startswith("label,theorem,target,bound")
-        assert len(lines) == 19  # header + 18 theorem/target rows
+        _, text, _ = run(capsys, "analyze", source, "--all", "--deterministic")
+        report = json.loads(text)
+        assert out.startswith("label,theorem,target,bound,applicable,degenerate,exact,gap,reason\n")
+        rows = list(csv.reader(out.splitlines()))
+        assert [len(row) for row in rows] == [9] * (1 + len(report["bounds"]))
+        for row, bound in zip(rows[1:], report["bounds"]):
+            assert row[0] == report["label"] == source
+            assert row[1:3] == [bound["theorem"], bound["target"]]
+            assert row[8] == bound.get("reason", "")
 
     def test_edgelist_file(self, capsys, tmp_path):
         source = tmp_path / "triangle.edges"
@@ -297,6 +317,7 @@ class TestSurvey:
         code, _, err = run(capsys, "survey", "complete:5", "--count", "2")
         assert code == 4
         assert "SOUNDNESS VIOLATION" in err
+        assert "complete:5:seed=0" in err  # the sample, replayable with `alliance analyze`
         assert "0 1" in err  # edgelist of K_5 starts with this edge
 
 
@@ -328,3 +349,29 @@ class TestGenerate:
         assert code == 0
         g, _ = parse_edgelist(out)
         assert g == build(GraphFamilySpec("bowtie"))
+
+
+class TestOrderCeiling:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "hypercube:30"),
+            ("generate", "grid:5000:5000"),
+            ("generate", "complete_minus_matching:5000"),
+            ("generate", "random_regular:5000:3"),
+            ("analyze", "complete:4097"),
+            ("analyze", "gnp:4097:0.001"),
+        ],
+    )
+    def test_order_above_ceiling_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert f"exceeds the ceiling of {MAX_ORDER} vertices" in err
+
+    def test_ceiling_order_still_builds(self, capsys):
+        code, out, _ = run(capsys, "generate", "hypercube:12")
+        assert code == 0
+        g, _ = parse_edgelist(out)
+        assert (g.n, g.m) == (MAX_ORDER, 12 * MAX_ORDER // 2)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from alliances.graph_core import (
+    MAX_ORDER,
     Graph,
     VertexSet,
     boundary,
@@ -49,6 +50,15 @@ class TestGraphConstruction:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             Graph(0)
+
+    def test_order_ceiling(self):
+        def unread_edges():
+            raise AssertionError("edges read before the order was checked")
+            yield
+
+        assert Graph(MAX_ORDER).n == MAX_ORDER
+        with pytest.raises(ValueError, match=f"order {MAX_ORDER + 1} exceeds the ceiling of {MAX_ORDER}"):
+            Graph(MAX_ORDER + 1, unread_edges())
 
     def test_equality_and_hash(self):
         assert triangle() == triangle()
