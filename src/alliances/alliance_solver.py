@@ -21,22 +21,30 @@ just the name of an alliance row; ``SPEC_NAMES``, its validation, the
 predicates and the search all read that table.
 
 The exact search decides vertices in index order and, besides the
-per-vertex thresholds, prunes with a counting bound taken from the same
+per-vertex thresholds, prunes with two counting bounds taken from the same
 conditions (never from the paper's theorems, which the survey checks
-against these values). Let D be the total shortfall of in-neighbors over
-all vertices, members measured against their member threshold and
-non-members against their outsider one, T the largest outsider need and Δ
-the maximum degree. A new member lowers D by at most Δ+T: at most Δ
-neighbors gain one in-neighbor, and the member drops its own outsider need.
-So with r members still to place, D > r*(Δ+T) cannot be fixed.
+against these values).
 
-Where every outsider needs a member neighbor, each non-member without one
-adds at least 1 to D. For domination D counts exactly those vertices and
-T = 1, so the bound is the coverage argument gamma >= n/(Δ+1) applied at
-every node: more than r*(Δ+1) undominated vertices cannot be fixed.
+The deficit bound: let D be the total shortfall of in-neighbors over all
+vertices, members measured against their member threshold and non-members
+against their outsider one (the boundary-only need once a non-member
+touches the set), T the largest outsider need and Δ the maximum degree. A
+new member lowers D by at most Δ+T: at most Δ neighbors gain one
+in-neighbor, and the member drops its own outsider need. So with r members
+still to place, D > r*(Δ+T) cannot be fixed. Where every outsider needs a
+member neighbor, each non-member without one adds at least 1 to D. For
+domination D counts exactly those vertices and T = 1, so the bound is the
+coverage argument gamma >= n/(Δ+1) applied at every node.
 
-The bound never discards a satisfying set, so values and witnesses are the
-same as without it.
+The packing bound: a vertex can only be helped by its *candidates*, its
+undecided neighbors and itself while undecided. Vertices whose candidate
+sets are pairwise disjoint draw on disjoint sets of future members, so
+their least remaining needs must sum to at most r. For domination this is
+the 2-packing argument gamma >= rho (Meir & Moon, 1975) applied at every
+node.
+
+Neither bound discards a satisfying set, so values and witnesses are the
+same as without them.
 """
 
 from __future__ import annotations
@@ -197,21 +205,37 @@ def _search_exact(
     search stack, so the depth (the graph order) is not bounded by the
     recursion limit.
 
-    A deficit bound prunes at the root and after every join. D sums
-    ``max(0, need_v - in_v)`` over all vertices, where ``need_v`` is
-    ``need_in`` for a member and ``need_out`` otherwise. A new member
-    raises ``in`` of at most Δ (the maximum degree) vertices by one and
-    drops its own non-member need of at most T (the largest one), so with
-    ``r = k - chosen`` members still to place, ``D > r*(Δ+T)`` is hopeless.
-    For domination this is the coverage bound: D is the number of
-    undominated vertices and T = 1.
+    Two bounds prune at the root and after every join, with
+    ``r = k - chosen`` members still to place. An out decision changes
+    neither r nor any need, so its node needs no check.
 
-    The bound only discards subtrees with no satisfying k-set, so the first
-    hit and the witness are unchanged; only the node count drops. An out
-    decision changes neither D nor r, so its node needs no check.
+    The deficit bound: D sums ``max(0, need_v - in_v)`` over all vertices,
+    where ``need_v`` is ``need_in`` for a member, ``need_touched`` for a
+    non-member with ``in_v > 0`` and ``need_out`` otherwise. A new member
+    raises ``in`` of at most Δ (the maximum degree) vertices by one and
+    drops its own non-member need of at most T (the largest
+    ``need_touched``), so ``D > r*(Δ+T)`` is hopeless. A neighbor going from
+    ``in = 0`` to ``in = 1`` moves its term by ``touch_gain``, which is
+    positive where the boundary-only need starts to apply; D may grow, but
+    never falls by more than Δ+T per member. For domination D is the number
+    of undominated vertices and T = 1, the coverage bound.
+
+    The packing bound: a vertex's candidates are its undecided neighbors,
+    plus itself while undecided. A member still needs ``need_in - in`` of
+    them, a decided non-member ``need_v - in`` as above, and an undecided
+    vertex the smaller of its non-member need and ``1 + max(0, need_in -
+    in)`` (itself, then its member need). Greedily, in index order, pack
+    vertices with a positive need whose candidate sets are pairwise
+    disjoint; each future member serves at most one of them, so packed needs
+    summing to more than r are hopeless. It runs only once the cheaper
+    checks pass. For domination this is the 2-packing bound gamma >= rho.
+
+    The bounds only discard subtrees with no satisfying k-set, so the first
+    hit and the witness are unchanged; only the node count drops.
     """
     n = g.n
     adjacency = g.adjacency
+    masks = g.masks
     degree = [len(a) for a in adjacency]
     status = [_UNDECIDED] * n
     in_count = [0] * n
@@ -223,14 +247,48 @@ def _search_exact(
     need_in = [0 if member_slack is None else max(0, -(-(d + member_slack) // 2)) for d in degree]
     need_touched = [max(dominate, 0 if outside_need is None else -(-(d + outside_need) // 2)) for d in degree]
     need_out = need_touched if cond.outside_all else [dominate] * n
+    touch_gain = [max(0, t - 1) - o for t, o in zip(need_touched, need_out)]
     deficit = sum(need_out)  # every vertex starts as a non-member
-    per_member = max(degree, default=0) + max(need_out, default=0)
+    per_member = max(degree, default=0) + max(need_touched, default=0)
+    full = (1 << n) - 1
 
     def vertex_ok(v: int) -> bool:
         potential = in_count[v] + undecided[v]
         if status[v] == _IN:
             return potential >= need_in[v]
         return potential >= (need_touched[v] if in_count[v] else need_out[v])
+
+    def packing_ok(first: int, r: int) -> bool:
+        # Vertices before ``first`` are decided, the rest undecided.
+        rest = full >> first << first
+        used = 0
+        packed = 0
+        for v in range(first):
+            candidates = masks[v] & rest
+            if not candidates or candidates & used:
+                continue
+            c = in_count[v]
+            if status[v] == _IN:
+                need = need_in[v] - c
+            else:
+                need = (need_touched[v] if c else need_out[v]) - c
+            if need > 0:
+                used |= candidates
+                packed += need
+                if packed > r:
+                    return False
+        for v in range(first, n):
+            candidates = masks[v] & rest | 1 << v
+            if candidates & used:
+                continue
+            c = in_count[v]
+            need = (need_touched[v] if c else need_out[v]) - c
+            if need > 0:
+                used |= candidates
+                packed += min(need, 1 + max(0, need_in[v] - c))
+                if packed > r:
+                    return False
+        return True
 
     def retract(v: int) -> bool:
         nonlocal deficit
@@ -244,13 +302,17 @@ def _search_exact(
             undecided[w] += 1
             c = in_count[w] - 1
             in_count[w] = c
-            if c < (need_in[w] if status[w] == _IN else need_out[w]):
-                deficit += 1
+            if status[w] == _IN:
+                deficit += c < need_in[w]
+            elif c:
+                deficit += c < need_touched[w]
+            else:
+                deficit -= touch_gain[w]
         c = in_count[v]
-        deficit += max(0, need_out[v] - c) - max(0, need_in[v] - c)
+        deficit += max(0, (need_touched[v] if c else need_out[v]) - c) - max(0, need_in[v] - c)
         return True
 
-    if deficit > k * per_member:
+    if deficit > k * per_member or not packing_ok(0, k):
         return None
     chosen = 0
     smask = 0
@@ -271,13 +333,17 @@ def _search_exact(
             if joins:
                 status[u] = _IN
                 c = in_count[u]
-                deficit += max(0, need_in[u] - c) - max(0, need_out[u] - c)
+                deficit += max(0, need_in[u] - c) - max(0, (need_touched[u] if c else need_out[u]) - c)
                 for w in adjacency[u]:
                     undecided[w] -= 1
                     c = in_count[w]
                     in_count[w] = c + 1
-                    if c < (need_in[w] if status[w] == _IN else need_out[w]):
-                        deficit -= 1
+                    if status[w] == _IN:
+                        deficit -= c < need_in[w]
+                    elif c:
+                        deficit -= c < need_touched[w]
+                    else:
+                        deficit += touch_gain[w]
                 ok = deficit <= (k - chosen - 1) * per_member and vertex_ok(u)
             else:
                 status[u] = _OUT
@@ -289,6 +355,8 @@ def _search_exact(
                     if status[w] != _UNDECIDED and not vertex_ok(w):
                         ok = False
                         break
+            if ok and joins:
+                ok = packing_ok(u + 1, k - chosen - 1)
             if ok:
                 if joins:
                     chosen += 1

@@ -277,19 +277,19 @@ class TestLimits:
 class TestSearchTree:
     def test_corpus_node_counts_are_pinned(self, corpus):
         # Totals over the named corpus of the index-order, in-branch-first
-        # search with the deficit bound; a change to the tree walk or its
-        # pruning shows here.
+        # search with the deficit and packing bounds; a change to the tree
+        # walk or its pruning shows here.
         expected = {
-            "defensive": 983,
-            "strong_defensive": 2107,
-            "global_defensive": 2696,
-            "global_strong_defensive": 2689,
-            "offensive": 3318,
-            "strong_offensive": 4113,
-            "global_offensive": 637,
-            "global_strong_offensive": 1249,
-            "global_dual": 1117,
-            "global_strong_dual": 1080,
+            "defensive": 441,
+            "strong_defensive": 1003,
+            "global_defensive": 1386,
+            "global_strong_defensive": 1257,
+            "offensive": 1016,
+            "strong_offensive": 1482,
+            "global_offensive": 455,
+            "global_strong_offensive": 823,
+            "global_dual": 485,
+            "global_strong_dual": 536,
             "domination": 167,
         }
         totals = dict.fromkeys(expected, 0)
@@ -318,3 +318,15 @@ class TestSearchTree:
         counter = {"nodes": 0}
         assert _search_exact(g, optimum, cond, counter, None) is not None
         assert counter["nodes"] > 0
+
+    def test_packing_bound_rejects_infeasible_k_at_the_root(self):
+        # A comb: pendants 0-7, each hanging off its own vertex of the path
+        # 8-15. Each pendant needs itself or its path vertex, and these
+        # candidate pairs are disjoint, so gamma = 8; the deficit bound alone
+        # reaches only 16/(3+1) = 4.
+        g = Graph(16, [(i, 8 + i) for i in range(8)] + [(8 + i, 9 + i) for i in range(7)])
+        for k in range(1, 8):
+            counter = {"nodes": 0}
+            assert _search_exact(g, k, VARIANTS["domination"], counter, None) is None
+            assert counter["nodes"] == 0, k
+        assert domination_number(g).value == 8

@@ -6,7 +6,14 @@ import pytest
 pytest.importorskip("scipy")
 
 from alliances import generators
-from alliances.alliance_solver import domination_number, is_alliance, is_dominating_set, min_alliance_number, spec_from_name
+from alliances.alliance_solver import (
+    SearchLimits,
+    domination_number,
+    is_alliance,
+    is_dominating_set,
+    min_alliance_number,
+    spec_from_name,
+)
 from alliances.graph_core import VertexSet
 
 from milp_oracle import ORACLE_SPECS, milp_minimum
@@ -20,22 +27,26 @@ GRAPHS = {
     "grid:4:5": generators.grid(4, 5),
     "grid:3:7": generators.grid(3, 7),
     "random_regular:22:3:seed=6": generators.random_regular(22, 3, seed=6),
+    "gnp:26:0.2:seed=8": generators.gnp(26, 0.2, seed=8),
+    "grid:4:7": generators.grid(4, 7),
 }
+# Above the solver's default ceiling of 24.
+LIMITS = SearchLimits(max_n=28)
 
 
 @pytest.mark.parametrize("label", GRAPHS)
 def test_solver_matches_milp(label):
     g = GRAPHS[label]
-    assert 14 <= g.n <= 22
+    assert 14 <= g.n <= 28
     for name in ORACLE_SPECS:
         value, members = milp_minimum(g, name)
         if name == "domination":
-            result = domination_number(g)
+            result = domination_number(g, LIMITS)
             assert is_dominating_set(g, VertexSet(members))
             assert is_dominating_set(g, result.witness)
         else:
             spec = spec_from_name(name)
-            result = min_alliance_number(g, spec)
+            result = min_alliance_number(g, spec, LIMITS)
             assert is_alliance(g, VertexSet(members), spec)
             assert is_alliance(g, result.witness, spec)
         assert result.value == result.witness.size
