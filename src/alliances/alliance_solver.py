@@ -45,11 +45,23 @@ node.
 
 Neither bound discards a satisfying set, so values and witnesses are the
 same as without them.
+
+Work per node: a decided vertex passes its check when its in-neighbors plus
+its undecided neighbors reach its current need, and every decided vertex
+passes at every node the search stands on. So a decision re-checks only the
+vertices whose check it can change. An out decision changes no in-count and
+no deficit, and lowers by one only the undecided count of its neighbors
+below it (those above are undecided and unchecked). A join gives each
+neighbor one more member neighbor and one fewer undecided one, so no
+potential moves; only a non-member's need can rise, when its first member
+neighbor makes the boundary-only offensive need apply. The thresholds are
+built once per graph and variant and shared by every cardinality searched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph_core import Graph, VertexSet, _check_set
 
@@ -183,31 +195,84 @@ def is_dominating_set(g: Graph, s: VertexSet) -> bool:
     return _satisfies(g, s.mask, VARIANTS["domination"])
 
 
+class _Tables(NamedTuple):
+    """What the search reads of one graph and variant, built once by
+    ``_tables`` and shared by every k; the search never writes to it."""
+
+    n: int
+    adjacency: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
+    need_in: list[int]  # in-neighbors a member needs
+    need_touched: list[int]  # ... a non-member with a member neighbor
+    need_out: list[int]  # ... a non-member without one
+    touch_gain: list[int]  # deficit change when a non-member gets its first member neighbor
+    per_member: int  # Δ + T, the most one new member lowers the deficit
+    later: list[int]  # neighbors above v: v's undecided neighbors once v is decided
+    earlier: list[tuple[int, ...]]  # neighbors below v: decided when v is
+    retouch: bool  # some need_touched exceeds need_out (the boundary-only offensive rows)
+
+
+def _tables(g: Graph, cond: _Conditions) -> _Tables:
+    n = g.n
+    adjacency = g.adjacency
+    masks = g.masks
+    degree = [len(a) for a in adjacency]
+    member_slack = cond.member_slack
+    outside_need = cond.outside_need
+    dominate = int(cond.dominate)
+    # 2*in >= deg + c is in >= ceil((deg + c) / 2).
+    need_in = [0 if member_slack is None else max(0, -(-(d + member_slack) // 2)) for d in degree]
+    need_touched = [max(dominate, 0 if outside_need is None else -(-(d + outside_need) // 2)) for d in degree]
+    need_out = need_touched if cond.outside_all else [dominate] * n
+    return _Tables(
+        n=n,
+        adjacency=adjacency,
+        masks=masks,
+        need_in=need_in,
+        need_touched=need_touched,
+        need_out=need_out,
+        touch_gain=[max(0, t - 1) - o for t, o in zip(need_touched, need_out)],
+        per_member=max(degree) + max(need_touched),
+        later=[(masks[v] >> v + 1).bit_count() for v in range(n)],
+        earlier=[tuple(w for w in adjacency[v] if w < v) for v in range(n)],
+        retouch=any(t > o for t, o in zip(need_touched, need_out)),
+    )
+
+
 _UNDECIDED, _IN, _OUT = 0, 1, 2
 
 
-def _search_exact(
-    g: Graph,
-    k: int,
-    cond: _Conditions,
-    counter: dict[str, int],
-    max_nodes: int | None,
-) -> int | None:
+def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | None) -> int | None:
     """Lexicographically smallest satisfying k-subset, or None.
 
     Vertices are decided in/out in index order, in-branch first, so the
     first hit is the lexicographically smallest satisfying k-subset. Each
-    vertex's thresholds are turned into in-neighbor counts once:
-    ``need_in`` as a member, ``need_out`` as a non-member and
-    ``need_touched`` as a non-member with a member neighbor. A branch is
-    pruned as soon as some decided vertex falls short of its count even if
-    every undecided neighbor joined. The decided prefix ``status[:u]`` is the
-    search stack, so the depth (the graph order) is not bounded by the
-    recursion limit.
+    vertex's thresholds are turned into in-neighbor counts once per variant
+    (``_tables``): ``need_in`` as a member, ``need_out`` as a non-member and
+    ``need_touched`` as a non-member with a member neighbor. The decided
+    prefix ``status[:u]`` is the search stack, so the depth (the graph
+    order) is not bounded by the recursion limit.
+
+    A decided vertex passes its check when its *potential*, ``in`` plus its
+    undecided neighbors, reaches its current need. Invariant: at every node
+    the search stands on, every decided vertex passes. Decisions go in index
+    order, so once u is decided a vertex w's undecided neighbors are those
+    above u, ``(masks[w] >> u + 1).bit_count()``, and u's own are
+    ``later[u]``; its decided neighbors are ``earlier[u]``. So a decision
+    re-checks only the vertices whose check it can change:
+
+    * an out decision changes no in-count and no deficit; it lowers the
+      potential of each of ``earlier[u]`` by one, so it checks u and
+      ``earlier[u]``, and retracting it is just ``status[u] = _UNDECIDED``;
+    * a join raises ``in`` and lowers the undecided count of every neighbor
+      by one, so no decided neighbor's potential moves. The only need that
+      rises is that of a non-member going from ``in = 0`` to 1 where
+      ``need_touched > need_out``, which happens only for ``offensive`` and
+      ``strong_offensive``; a join checks u and those.
 
     Two bounds prune at the root and after every join, with
     ``r = k - chosen`` members still to place. An out decision changes
-    neither r nor any need, so its node needs no check.
+    neither r nor any need, so it needs neither.
 
     The deficit bound: D sums ``max(0, need_v - in_v)`` over all vertices,
     where ``need_v`` is ``need_in`` for a member, ``need_touched`` for a
@@ -233,30 +298,11 @@ def _search_exact(
     The bounds only discard subtrees with no satisfying k-set, so the first
     hit and the witness are unchanged; only the node count drops.
     """
-    n = g.n
-    adjacency = g.adjacency
-    masks = g.masks
-    degree = [len(a) for a in adjacency]
+    n, adjacency, masks, need_in, need_touched, need_out, touch_gain, per_member, later, earlier, retouch = t
     status = [_UNDECIDED] * n
     in_count = [0] * n
-    undecided = list(degree)
-    member_slack = cond.member_slack
-    outside_need = cond.outside_need
-    dominate = int(cond.dominate)
-    # 2*in >= deg + c is in >= ceil((deg + c) / 2).
-    need_in = [0 if member_slack is None else max(0, -(-(d + member_slack) // 2)) for d in degree]
-    need_touched = [max(dominate, 0 if outside_need is None else -(-(d + outside_need) // 2)) for d in degree]
-    need_out = need_touched if cond.outside_all else [dominate] * n
-    touch_gain = [max(0, t - 1) - o for t, o in zip(need_touched, need_out)]
     deficit = sum(need_out)  # every vertex starts as a non-member
-    per_member = max(degree, default=0) + max(need_touched, default=0)
     full = (1 << n) - 1
-
-    def vertex_ok(v: int) -> bool:
-        potential = in_count[v] + undecided[v]
-        if status[v] == _IN:
-            return potential >= need_in[v]
-        return potential >= (need_touched[v] if in_count[v] else need_out[v])
 
     def packing_ok(first: int, r: int) -> bool:
         # Vertices before ``first`` are decided, the rest undecided.
@@ -295,11 +341,8 @@ def _search_exact(
         joined = status[v] == _IN
         status[v] = _UNDECIDED
         if not joined:
-            for w in adjacency[v]:
-                undecided[w] += 1
             return False
         for w in adjacency[v]:
-            undecided[w] += 1
             c = in_count[w] - 1
             in_count[w] = c
             if status[w] == _IN:
@@ -309,7 +352,9 @@ def _search_exact(
             else:
                 deficit -= touch_gain[w]
         c = in_count[v]
-        deficit += max(0, (need_touched[v] if c else need_out[v]) - c) - max(0, need_in[v] - c)
+        short = (need_touched[v] if c else need_out[v]) - c
+        lack = need_in[v] - c
+        deficit += (short if short > 0 else 0) - (lack if lack > 0 else 0)
         return True
 
     if deficit > k * per_member or not packing_ok(0, k):
@@ -330,12 +375,14 @@ def _search_exact(
                     cardinality=k,
                     nodes_explored=counter["nodes"],
                 )
+            shift = u + 1
+            c = in_count[u]
             if joins:
                 status[u] = _IN
-                c = in_count[u]
-                deficit += max(0, need_in[u] - c) - max(0, (need_touched[u] if c else need_out[u]) - c)
+                short = (need_touched[u] if c else need_out[u]) - c
+                lack = need_in[u] - c
+                deficit += (lack if lack > 0 else 0) - (short if short > 0 else 0)
                 for w in adjacency[u]:
-                    undecided[w] -= 1
                     c = in_count[w]
                     in_count[w] = c + 1
                     if status[w] == _IN:
@@ -344,27 +391,42 @@ def _search_exact(
                         deficit -= c < need_touched[w]
                     else:
                         deficit += touch_gain[w]
-                ok = deficit <= (k - chosen - 1) * per_member and vertex_ok(u)
-            else:
-                status[u] = _OUT
-                for w in adjacency[u]:
-                    undecided[w] -= 1
-                ok = vertex_ok(u)
-            if ok:
-                for w in adjacency[u]:
-                    if status[w] != _UNDECIDED and not vertex_ok(w):
-                        ok = False
-                        break
-            if ok and joins:
-                ok = packing_ok(u + 1, k - chosen - 1)
-            if ok:
-                if joins:
+                ok = deficit <= (k - chosen - 1) * per_member and in_count[u] + later[u] >= need_in[u]
+                if ok and retouch:
+                    # No decided neighbor's potential moved; one touched for
+                    # the first time may now need more.
+                    for w in earlier[u]:
+                        if (
+                            in_count[w] == 1
+                            and status[w] == _OUT
+                            and 1 + (masks[w] >> shift).bit_count() < need_touched[w]
+                        ):
+                            ok = False
+                            break
+                if ok and packing_ok(shift, k - chosen - 1):
                     chosen += 1
                     smask |= 1 << u
-                u += 1
-                joins = True
-                continue
-            retract(u)
+                    u = shift
+                    continue
+                retract(u)
+            else:
+                # Only u and its decided neighbors lose potential.
+                ok = c + later[u] >= (need_touched[u] if c else need_out[u])
+                if ok:
+                    for w in earlier[u]:
+                        c = in_count[w]
+                        if status[w] == _IN:
+                            need = need_in[w]
+                        else:
+                            need = need_touched[w] if c else need_out[w]
+                        if c + (masks[w] >> shift).bit_count() < need:
+                            ok = False
+                            break
+                if ok:
+                    status[u] = _OUT
+                    u = shift
+                    joins = True
+                    continue
         if joins:
             joins = False
             continue
@@ -382,15 +444,16 @@ def _search_exact(
 
 
 def _minimize(g: Graph, cond: _Conditions, limits: SearchLimits | None) -> AllianceResult:
-    """Search k = 1, 2, ... once each. The first hit is the minimum, and
-    its witness is already canonical because vertices are decided in index
-    order."""
+    """Search k = 1, 2, ... once each, over one set of tables. The first
+    hit is the minimum, and its witness is already canonical because
+    vertices are decided in index order."""
     limits = limits or SearchLimits()
     if g.n > limits.max_n:
         raise ResourceLimitError(f"order {g.n} exceeds the solver ceiling {limits.max_n}; raise max_n to search anyway")
+    tables = _tables(g, cond)
     counter = {"nodes": 0}
     for k in range(1, g.n + 1):
-        mask = _search_exact(g, k, cond, counter, limits.max_nodes)
+        mask = _search_exact(tables, k, counter, limits.max_nodes)
         if mask is not None:
             return AllianceResult(
                 value=k,

@@ -207,6 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SoundnessViolation as exc:
         print(f"alliance: SOUNDNESS VIOLATION: {exc}", file=sys.stderr)
+        print(f"offending graph (graph6): {exc.graph6}", file=sys.stderr)
         print("offending graph (edgelist):", file=sys.stderr)
         sys.stderr.write(exc.edgelist)
         return 4

@@ -172,13 +172,17 @@ def gnp(n: int, p: float, seed: int = 0) -> Graph:
 
 
 _REGULAR_TRIES = 2000
+_SWITCHES_PER_EDGE = 10
 
 
 def random_regular(n: int, d: int, seed: int = 0) -> Graph:
     """Random d-regular graph via the configuration model.
 
     Pairings with loops or repeated edges are rejected and resampled, which
-    is fast at the small orders used here. Requires n*d even and d < n.
+    is fast at the small orders and degrees used here. If all
+    ``_REGULAR_TRIES`` pairings fail, which becomes likely from d = 5 on,
+    the same generator goes on to randomize a circulant d-regular graph by
+    double-edge switches. Requires n*d even and d < n.
     """
     if d < 0 or d >= n or (n * d) % 2:
         raise ValueError(f"infeasible regular graph parameters n={n}, d={d} (need n*d even, 0 <= d < n)")
@@ -197,7 +201,32 @@ def random_regular(n: int, d: int, seed: int = 0) -> Graph:
             seen.add((min(u, v), max(u, v)))
         if ok:
             return Graph(n, pairs)
-    raise ValueError(f"configuration model failed to produce a simple graph after {_REGULAR_TRIES} tries")
+    return Graph(n, _switched_circulant(n, d, rng))
+
+
+def _switched_circulant(n: int, d: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Edges of a d-regular graph: the circulant joining each vertex to the
+    d//2 next ones around a cycle (and, for odd d, to the opposite one),
+    then ``_SWITCHES_PER_EDGE`` switch attempts per edge. A switch replaces
+    edges {a, b} and {c, e} by {a, c} and {b, e}, and is skipped when that
+    makes a loop or a repeated edge, so every degree stays d."""
+    edges = [(v, (v + step) % n) for v in range(n) for step in range(1, d // 2 + 1)]
+    if d % 2:
+        edges += [(v, v + n // 2) for v in range(n // 2)]
+    edges = [(min(e), max(e)) for e in edges]
+    present = set(edges)
+    for _ in range(_SWITCHES_PER_EDGE * len(edges)):
+        i = rng.randrange(len(edges))
+        j = rng.randrange(len(edges))
+        a, b = edges[i]
+        c, e = edges[j] if rng.random() < 0.5 else edges[j][::-1]
+        ac, be = (min(a, c), max(a, c)), (min(b, e), max(b, e))
+        if len({a, b, c, e}) < 4 or ac in present or be in present:
+            continue
+        present -= {edges[i], edges[j]}
+        present |= {ac, be}
+        edges[i], edges[j] = ac, be
+    return edges
 
 
 class Family(NamedTuple):

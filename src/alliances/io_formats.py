@@ -11,7 +11,7 @@ graph6: the standard printable 6-bit encoding, including the 4-byte and
 
 from __future__ import annotations
 
-from .graph_core import Graph
+from .graph_core import MAX_ORDER, Graph
 
 __all__ = [
     "ParseError",
@@ -101,6 +101,8 @@ def parse_graph6(data: str | bytes) -> Graph:
     n, body = _graph6_order(data)
     if n < 1:
         raise ParseError(f"graph6 order {n} is not supported (need n >= 1)")
+    if n > MAX_ORDER:
+        raise ParseError(f"graph6 order {n} exceeds the ceiling of {MAX_ORDER} vertices")
     bits_needed = n * (n - 1) // 2
     chars_needed = (bits_needed + 5) // 6
     if len(body) != chars_needed:

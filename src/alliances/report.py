@@ -21,7 +21,7 @@ from .alliance_solver import (
 )
 from .generators import GraphFamilySpec, build
 from .graph_core import Graph, degree_stats, girth, is_connected
-from .io_formats import write_edgelist
+from .io_formats import write_edgelist, write_graph6
 from .spectral import UndefinedQuantityError, spectral_summary
 
 __all__ = [
@@ -60,9 +60,10 @@ DEFAULT_SPECS: tuple[str, ...] = tuple(name for name in VARIANTS if name in boun
 class SoundnessViolation(RuntimeError):
     """A bound exceeded the exact value it is supposed to stay below."""
 
-    def __init__(self, message: str, edgelist: str, detail: dict) -> None:
+    def __init__(self, message: str, edgelist: str, graph6: str, detail: dict) -> None:
         super().__init__(message)
         self.edgelist = edgelist
+        self.graph6 = graph6
         self.detail = detail
 
 
@@ -195,9 +196,9 @@ def survey_rows(
     (ignored by deterministic families). The check needs exact values, so a
     sample above ``limits.max_n`` raises :class:`ResourceLimitError`. Raises
     :class:`SoundnessViolation` the moment any applicable bound exceeds its
-    exact target; the offending graph travels with the exception in
-    edge-list form, and its message names the sample's family spec with its
-    seed, which ``alliance analyze <spec> --all`` replays.
+    exact target; the offending graph travels with the exception as an
+    edge list and as graph6, and its message names the sample's family spec
+    with its seed, which ``alliance analyze <spec> --all`` replays.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -231,6 +232,7 @@ def survey_rows(
             raise SoundnessViolation(
                 f"bound exceeded exact value on sample {index} ({sample}): {violations[0]}",
                 edgelist=write_edgelist(g),
+                graph6=write_graph6(g),
                 detail={"sample": index, "seed": sample.seed, "violations": violations},
             )
         yield row_out

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from alliances import generators
+from alliances.generators import GraphFamilySpec, build
 from alliances.alliance_solver import (
     AllianceSpec,
     ResourceLimitError,
@@ -20,6 +21,7 @@ from alliances.alliance_solver import (
     min_alliance_number,
     spec_from_name,
     _search_exact,
+    _tables,
 )
 from alliances.graph_core import Graph, VertexSet, degree_stats, girth
 
@@ -300,6 +302,68 @@ class TestSearchTree:
         assert totals == expected
 
     @pytest.mark.parametrize(
+        ("spec", "expected"),
+        [
+            (
+                GraphFamilySpec("gnp", (22, 0.25), seed=0),
+                {
+                    "defensive": 22,
+                    "strong_defensive": 22,
+                    "global_defensive": 7051,
+                    "global_strong_defensive": 7795,
+                    "offensive": 22,
+                    "strong_offensive": 22,
+                    "global_offensive": 2786,
+                    "global_strong_offensive": 3975,
+                    "global_dual": 6955,
+                    "global_strong_dual": 6479,
+                    "domination": 130,
+                },
+            ),
+            (
+                GraphFamilySpec("random_regular", (22, 3), seed=1),
+                {
+                    "defensive": 80,
+                    "strong_defensive": 167,
+                    "global_defensive": 4508,
+                    "global_strong_defensive": 38697,
+                    "offensive": 72,
+                    "strong_offensive": 15850,
+                    "global_offensive": 2441,
+                    "global_strong_offensive": 1281,
+                    "global_dual": 19664,
+                    "global_strong_dual": 5233,
+                    "domination": 50,
+                },
+            ),
+            (
+                GraphFamilySpec("grid", (4, 6)),
+                {
+                    "defensive": 71,
+                    "strong_defensive": 305,
+                    "global_defensive": 1151,
+                    "global_strong_defensive": 6342,
+                    "offensive": 7598,
+                    "strong_offensive": 8421,
+                    "global_offensive": 5953,
+                    "global_strong_offensive": 680,
+                    "global_dual": 2621,
+                    "global_strong_dual": 3736,
+                    "domination": 408,
+                },
+            ),
+        ],
+        ids=str,
+    )
+    def test_benchmark_order_node_counts_are_pinned(self, spec, expected):
+        # The orders the benchmark times (n = 22-24), which the small named
+        # corpus does not reach: the tree walked there must not change.
+        g = build(spec)
+        nodes = {name: min_alliance_number(g, spec_from_name(name)).nodes_explored for name in SPEC_NAMES}
+        nodes["domination"] = domination_number(g).nodes_explored
+        assert nodes == expected
+
+    @pytest.mark.parametrize(
         ("cond", "optimum"),
         [
             # 24 undominated vertices, and a member dominates at most 3
@@ -313,10 +377,10 @@ class TestSearchTree:
         g = generators.cycle(24)
         for k in range(1, optimum):
             counter = {"nodes": 0}
-            assert _search_exact(g, k, cond, counter, None) is None
+            assert _search_exact(_tables(g, cond), k, counter, None) is None
             assert counter["nodes"] == 0, k
         counter = {"nodes": 0}
-        assert _search_exact(g, optimum, cond, counter, None) is not None
+        assert _search_exact(_tables(g, cond), optimum, counter, None) is not None
         assert counter["nodes"] > 0
 
     def test_packing_bound_rejects_infeasible_k_at_the_root(self):
@@ -327,6 +391,6 @@ class TestSearchTree:
         g = Graph(16, [(i, 8 + i) for i in range(8)] + [(8 + i, 9 + i) for i in range(7)])
         for k in range(1, 8):
             counter = {"nodes": 0}
-            assert _search_exact(g, k, VARIANTS["domination"], counter, None) is None
+            assert _search_exact(_tables(g, VARIANTS["domination"]), k, counter, None) is None
             assert counter["nodes"] == 0, k
         assert domination_number(g).value == 8

@@ -319,6 +319,9 @@ class TestSurvey:
         assert "SOUNDNESS VIOLATION" in err
         assert "complete:5:seed=0" in err  # the sample, replayable with `alliance analyze`
         assert "0 1" in err  # edgelist of K_5 starts with this edge
+        # graph6 line, which `alliance analyze <file>.g6` reads back
+        line = next(line for line in err.splitlines() if line.startswith("offending graph (graph6): "))
+        assert parse_graph6(line.split(": ", 1)[1]) == generators.complete(5)
 
 
 class TestGenerate:
@@ -332,11 +335,15 @@ class TestGenerate:
         assert code == 0
         assert parse_graph6(out.strip()) == generators.petersen()
 
-    def test_regular_graph_not_found_exits_2(self, capsys):
+    def test_dense_regular_graph_is_generated(self, capsys):
+        # Every configuration-model pairing fails for this seed; the
+        # double-edge-switch fallback still yields an 8-regular graph.
         code, out, err = run(capsys, "generate", "random_regular:10:8:seed=1")
-        assert code == 2
-        assert out == ""
-        assert err == "alliance: error: configuration model failed to produce a simple graph after 2000 tries\n"
+        assert code == 0
+        assert err == ""
+        g, _ = parse_edgelist(out)
+        assert (g.n, g.m) == (10, 40)
+        assert all(len(neighbors) == 8 for neighbors in g.adjacency)
 
     def test_unseeded_family_uses_seed_zero(self, capsys):
         _, unseeded, _ = run(capsys, "generate", "gnp:14:0.5")

@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from alliances import generators
 from alliances.generators import GraphFamilySpec, build
 from alliances.graph_core import degree_stats, girth, is_connected
+from alliances.io_formats import write_graph6
 
 
 def test_complete():
@@ -100,6 +103,37 @@ def test_random_regular():
         generators.random_regular(5, 3)  # n*d odd
     with pytest.raises(ValueError):
         generators.random_regular(4, 4)  # d >= n
+
+
+@pytest.mark.parametrize(
+    ("n", "d", "digest"),
+    [
+        (22, 3, "9a0e1bf861e6a3884f14fa38b3d95b10f18e32539f87b0939e27196382a363c8"),
+        (120, 4, "c5f8c0f2a37009b00970b7fbafa2504fe28ff6b446972ce6dc1cd2fd8f28685f"),
+    ],
+)
+def test_random_regular_configuration_draws_are_pinned(n, d, digest):
+    # Seeds 0-49 at the benchmark's orders: the configuration model succeeds
+    # for each, and the switch fallback must not move a single draw.
+    h = hashlib.sha256()
+    for seed in range(50):
+        h.update(write_graph6(generators.random_regular(n, d, seed=seed)).encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize(("n", "d"), [(30, 6), (24, 8), (16, 5)])
+def test_random_regular_dense_degrees(n, d):
+    # The configuration model fails on most of these seeds; the switch
+    # fallback gives a simple d-regular graph (Graph collapses repeated
+    # edges, so m = n*d/2 rules them out) that depends on the seed.
+    drawn = set()
+    for seed in range(10):
+        g = generators.random_regular(n, d, seed=seed)
+        assert degree_stats(g).regular == d
+        assert g.m == n * d // 2
+        drawn.add(g)
+    assert len(drawn) > 1
+    assert generators.random_regular(n, d, seed=3) == generators.random_regular(n, d, seed=3)
 
 
 def test_build_dispatch():
