@@ -2,8 +2,10 @@
 
 Each evaluator substitutes graph quantities (order n, size m, degree
 extremes, algebraic connectivity, adjacency spectral radius, Laplacian
-spectral radius) into one closed-form theorem and takes a tolerance-aware
-integer ceiling.
+spectral radius) into one closed-form theorem and rounds it up. The
+theorems on n, m and degrees alone take exact integer ceilings
+(``-(-a // b)`` and ``math.isqrt``); only the spectral theorems, whose
+inputs carry eigensolver error, take the tolerance-aware ``safe_ceil``.
 
 ``evaluate_all`` walks one ordered table, ``_THEOREMS``. An entry names the
 theorem (a stable id used in reports), the targets it bounds, the graph
@@ -73,6 +75,16 @@ def safe_ceil(x: float) -> int:
     return math.ceil(x)
 
 
+def _ceil_div(a: int, b: int) -> int:
+    """Exact ceil(a/b) for integers, b > 0."""
+    return -(-a // b)
+
+
+def _ceil_sqrt(x: int) -> int:
+    """Exact ceil(sqrt(x)) for an integer x >= 1."""
+    return math.isqrt(x - 1) + 1
+
+
 def _nonnegative(value: float, label: str) -> float:
     """Clamp tiny negative eigensolver noise to zero; reject real negatives."""
     if value < -SNAP:
@@ -111,16 +123,13 @@ def global_defensive_spectral_radius(n: int, spectral_radius: float) -> tuple[in
 def global_defensive_degree(n: int, max_degree: int) -> tuple[int, int]:
     """Bounds ceil(2n/(Delta+3)) and ceil(n/(floor(Delta/2)+1)) on the global
     (strong) defensive alliance numbers."""
-    return (
-        safe_ceil(2.0 * n / (max_degree + 3)),
-        safe_ceil(n / (max_degree // 2 + 1)),
-    )
+    return _ceil_div(2 * n, max_degree + 3), _ceil_div(n, max_degree // 2 + 1)
 
 
 def global_defensive_degree_prior(n: int, max_degree: int) -> int:
     """Earlier degree-only bound n/(ceil(Delta/2)+1) on the global defensive
     alliance number; kept alongside the sharper globdef-degree bound."""
-    return safe_ceil(n / ((max_degree + 1) // 2 + 1))
+    return _ceil_div(n, (max_degree + 1) // 2 + 1)
 
 
 def girth_regular_connectivity(n: int, algebraic_connectivity: float, degree: int) -> int:
@@ -150,7 +159,8 @@ def global_offensive_laplacian_radius(n: int, min_degree: int, laplacian_radius:
 
 def global_offensive_quadratic(n: int, m: int, max_degree: int) -> tuple[int, int]:
     """Quadratic-root bounds on the global (strong) offensive alliance numbers
-    from order, size, and maximum degree alone."""
+    from order, size, and maximum degree alone: ceil((b - sqrt(d))/4), the
+    smaller root of a quadratic rounded up, which equals ceil((b - isqrt(d))/4)."""
     b_plain = 2 * n + max_degree + 1
     b_strong = 2 * n + max_degree + 2
     disc_plain = b_plain * b_plain - 8 * (2 * m + n)
@@ -162,8 +172,8 @@ def global_offensive_quadratic(n: int, m: int, max_degree: int) -> tuple[int, in
             f"negative discriminant for n={n}, m={m}, max_degree={max_degree}; inputs are inconsistent"
         )
     return (
-        safe_ceil((b_plain - math.sqrt(disc_plain)) / 4.0),
-        safe_ceil((b_strong - math.sqrt(disc_strong)) / 4.0),
+        _ceil_div(b_plain - math.isqrt(disc_plain), 4),
+        _ceil_div(b_strong - math.isqrt(disc_strong), 4),
     )
 
 
@@ -179,11 +189,9 @@ def global_dual_spectral_radius(n: int, m: int, spectral_radius: float) -> tuple
 
 def global_dual_size(n: int, m: int) -> tuple[int, int]:
     """Bounds ceil(sqrt(2m+n)/2) and ceil((1+sqrt(1+8(n+m)))/4) on the global
-    (strong) dual alliance numbers."""
-    return (
-        safe_ceil(math.sqrt(2 * m + n) / 2.0),
-        safe_ceil((1.0 + math.sqrt(1.0 + 8.0 * (n + m))) / 4.0),
-    )
+    (strong) dual alliance numbers; rounding the square root up first
+    leaves each ceiling unchanged."""
+    return _ceil_div(_ceil_sqrt(2 * m + n), 2), _ceil_div(1 + _ceil_sqrt(1 + 8 * (n + m)), 4)
 
 
 def domination_laplacian_radius(n: int, laplacian_radius: float) -> int:
@@ -201,7 +209,7 @@ _SPECTRUM: _Hypothesis = (lambda q: q["spectral_radius"] is not None, "spectral 
 _CONNECTED: _Hypothesis = (lambda q: q["connected"], "graph is disconnected")
 _REGULAR: _Hypothesis = (lambda q: q["degree"] is not None, "graph is not regular")
 _DEGREE_345: _Hypothesis = (lambda q: q["degree"] in (3, 4, 5), "regular of degree {degree}; theorem covers degrees 3, 4, 5")
-_HAS_EDGES: _Hypothesis = (lambda q: q["laplacian_radius"] > SNAP, "Laplacian spectral radius is zero (edgeless graph)")
+_HAS_EDGES: _Hypothesis = (lambda q: q["m"] > 0, "Laplacian spectral radius is zero (edgeless graph)")
 
 
 @dataclass(frozen=True)

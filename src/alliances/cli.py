@@ -5,7 +5,8 @@ string with the grammar ``name[:p1[:p2]][:seed=S]``, for example
 ``petersen``, ``complete:6``, ``grid:2:3``, ``gnp:20:0.3:seed=7``.
 
 Exit codes: 0 success, 1 standard output closed by its reader, 2 parse/usage
-error, 3 resource limit, 4 soundness violation detected by ``survey``.
+error, 3 resource limit, 4 soundness violation (a bound above its exact value,
+found by ``analyze`` or by any graph ``survey`` samples).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from typing import Iterable, Iterator
 
 from .alliance_solver import ResourceLimitError, SearchLimits, VARIANTS
-from .generators import FAMILIES, GraphFamilySpec, build
+from .generators import build, parse_family
 from .graph_core import Graph
 from .io_formats import ParseError, parse_graph, write_edgelist, write_graph6
 from .report import (
@@ -30,31 +31,6 @@ from .report import (
     summary_to_csv,
     survey_rows,
 )
-
-
-def parse_family(text: str) -> GraphFamilySpec:
-    """Parse a family spec string ``name[:p1[:p2]][:seed=S]``; a missing seed
-    means 0, and a repeated one is an error."""
-    parts = text.split(":")
-    name = parts[0]
-    if name not in FAMILIES:
-        raise ValueError(f"unknown graph family {name!r}; known: {', '.join(FAMILIES)}")
-    params: list[int | float] = []
-    seed: int | None = None
-    for part in parts[1:]:
-        if part.startswith("seed="):
-            if seed is not None:
-                raise ValueError(f"repeated seed= in {text!r}")
-            seed = int(part[5:])
-            continue
-        try:
-            params.append(int(part))
-        except ValueError:
-            try:
-                params.append(float(part))
-            except ValueError:
-                raise ValueError(f"bad family parameter {part!r} in {text!r}") from None
-    return GraphFamilySpec(name, tuple(params), seed=0 if seed is None else seed)
 
 
 def _sniff_format(source: str, data: str, explicit: str) -> str:

@@ -13,6 +13,7 @@ __all__ = [
     "FAMILIES",
     "GraphFamilySpec",
     "build",
+    "parse_family",
     "complete",
     "complete_bipartite",
     "cycle",
@@ -23,8 +24,6 @@ __all__ = [
     "icosahedron",
     "complete_minus_matching",
     "bowtie",
-    "join",
-    "disjoint_union",
     "gnp",
     "random_regular",
 ]
@@ -43,8 +42,33 @@ class GraphFamilySpec:
     seed: int = 0
 
     def __str__(self) -> str:
-        """The spec string ``name:p1:...:seed=S`` that ``cli.parse_family`` reads back."""
+        """The spec string ``name:p1:...:seed=S`` that ``parse_family`` reads back."""
         return ":".join((self.family, *map(str, self.params), f"seed={self.seed}"))
+
+
+def parse_family(text: str) -> GraphFamilySpec:
+    """Parse a family spec string ``name[:p1[:p2]][:seed=S]``; a missing seed
+    means 0, and a repeated one is an error."""
+    parts = text.split(":")
+    name = parts[0]
+    if name not in FAMILIES:
+        raise ValueError(f"unknown graph family {name!r}; known: {', '.join(FAMILIES)}")
+    params: list[int | float] = []
+    seed: int | None = None
+    for part in parts[1:]:
+        if part.startswith("seed="):
+            if seed is not None:
+                raise ValueError(f"repeated seed= in {text!r}")
+            seed = int(part[5:])
+            continue
+        try:
+            params.append(int(part))
+        except ValueError:
+            try:
+                params.append(float(part))
+            except ValueError:
+                raise ValueError(f"bad family parameter {part!r} in {text!r}") from None
+    return GraphFamilySpec(name, tuple(params), seed=0 if seed is None else seed)
 
 
 def complete(n: int) -> Graph:
@@ -138,23 +162,9 @@ def complete_minus_matching(n: int) -> Graph:
     return Graph(n, (e for e in combinations(range(n), 2) if e not in removed))
 
 
-def join(g: Graph, h: Graph) -> Graph:
-    """Join of two graphs: disjoint union plus every edge between the two sides."""
-    edges = list(g.edges())
-    edges += [(g.n + u, g.n + v) for u, v in h.edges()]
-    edges += [(u, g.n + v) for u in range(g.n) for v in range(h.n)]
-    return Graph(g.n + h.n, edges)
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    edges = list(g.edges())
-    edges += [(g.n + u, g.n + v) for u, v in h.edges()]
-    return Graph(g.n + h.n, edges)
-
-
 def bowtie() -> Graph:
-    """Two triangles sharing one vertex: a single vertex joined to two disjoint edges."""
-    return join(complete(1), disjoint_union(complete(2), complete(2)))
+    """Two triangles sharing one vertex: vertex 0 adjacent to the edges 1-2 and 3-4."""
+    return Graph(5, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)))
 
 
 def gnp(n: int, p: float, seed: int = 0) -> Graph:

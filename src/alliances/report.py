@@ -60,11 +60,10 @@ DEFAULT_SPECS: tuple[str, ...] = tuple(name for name in VARIANTS if name in boun
 class SoundnessViolation(RuntimeError):
     """A bound exceeded the exact value it is supposed to stay below."""
 
-    def __init__(self, message: str, edgelist: str, graph6: str, detail: dict) -> None:
+    def __init__(self, message: str, edgelist: str, graph6: str) -> None:
         super().__init__(message)
         self.edgelist = edgelist
         self.graph6 = graph6
-        self.detail = detail
 
 
 def _round12(x: float) -> float:
@@ -103,6 +102,11 @@ def analyze(
     Exact solving is skipped (with a notation per entry) when the order
     exceeds the solver ceiling; everything else still runs. The returned
     dict is JSON-ready and round-trips through ``json`` unchanged.
+
+    Every applicable bound with an exact target is certified: a bound above
+    its exact value raises :class:`SoundnessViolation`, whose message names
+    ``label`` and the row and which carries the graph as an edge list and
+    as graph6.
     """
     limits = limits or SearchLimits()
     spec_names = tuple(specs) if specs is not None else DEFAULT_SPECS
@@ -149,6 +153,12 @@ def analyze(
         if row.applicable and target_exact is not None:
             entry["exact"] = target_exact
             entry["gap"] = target_exact - row.value
+            if entry["gap"] < 0:
+                raise SoundnessViolation(
+                    f"bound exceeded exact value on {label}: {entry}",
+                    edgelist=write_edgelist(g),
+                    graph6=write_graph6(g),
+                )
         bound_rows.append(entry)
 
     report: dict = {
@@ -194,11 +204,12 @@ def survey_rows(
 
     Sample ``i`` uses family seed ``seed + i`` in place of ``spec.seed``
     (ignored by deterministic families). The check needs exact values, so a
-    sample above ``limits.max_n`` raises :class:`ResourceLimitError`. Raises
-    :class:`SoundnessViolation` the moment any applicable bound exceeds its
-    exact target; the offending graph travels with the exception as an
-    edge list and as graph6, and its message names the sample's family spec
-    with its seed, which ``alliance analyze <spec> --all`` replays.
+    sample above ``limits.max_n`` raises :class:`ResourceLimitError`.
+    ``analyze`` certifies each sample and raises :class:`SoundnessViolation`
+    the moment an applicable bound exceeds its exact target; the message
+    names the sample's family spec with its seed, which
+    ``alliance analyze <spec> --all`` replays. A row's ``violations`` is
+    therefore always 0.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -210,13 +221,8 @@ def survey_rows(
             raise ResourceLimitError(
                 f"survey needs exact values but sample order {g.n} exceeds the solver ceiling {limits.max_n}"
             )
-        report = analyze(g, label=f"{spec.family}[{index}]", limits=limits, deterministic=True)
-        violations = [
-            row
-            for row in report["bounds"]
-            if row["applicable"] and "gap" in row and row["gap"] < 0
-        ]
-        row_out = {
+        report = analyze(g, label=str(sample), limits=limits, deterministic=True)
+        yield {
             "index": index,
             "seed": sample.seed,
             "n": g.n,
@@ -224,18 +230,10 @@ def survey_rows(
             "bounds": [
                 {key: row[key] for key in ("theorem", "target", "value", "exact", "gap")}
                 for row in report["bounds"]
-                if row["applicable"] and "gap" in row
+                if "gap" in row
             ],
-            "violations": len(violations),
+            "violations": 0,
         }
-        if violations:
-            raise SoundnessViolation(
-                f"bound exceeded exact value on sample {index} ({sample}): {violations[0]}",
-                edgelist=write_edgelist(g),
-                graph6=write_graph6(g),
-                detail={"sample": index, "seed": sample.seed, "violations": violations},
-            )
-        yield row_out
 
 
 def summarize_survey(rows: Iterable[dict]) -> list[dict]:
@@ -250,15 +248,13 @@ def summarize_survey(rows: Iterable[dict]) -> list[dict]:
                     "theorem": entry["theorem"],
                     "target": entry["target"],
                     "applicable": 0,
-                    "violations": 0,
+                    "violations": 0,  # analyze raises on a violation; the column stays for its readers
                     "tight": 0,
                     "mean_gap": 0.0,
                     "max_gap": 0,
                 },
             )
             agg["applicable"] += 1
-            if entry["gap"] < 0:
-                agg["violations"] += 1
             if entry["gap"] == 0:
                 agg["tight"] += 1
             agg["mean_gap"] += entry["gap"]

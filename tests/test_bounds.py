@@ -169,6 +169,50 @@ class TestGlobalDual:
         assert global_dual_size(2, 1)[0] == 1
 
 
+def _least(holds, value):
+    """``value`` is the least integer k >= 0 for which ``holds(k)``."""
+    return holds(value) and (value == 0 or not holds(value - 1))
+
+
+def test_integer_ceilings_are_least_solutions_and_match_float_reference():
+    # Every (n, m, max degree) a simple graph of order n <= 30 can have, up to
+    # the degree range ceil(2m/n) .. min(n-1, m). Each degree-only value must
+    # be the least integer satisfying the inequality it rounds up, and equal
+    # the float-and-snap value these theorems used to take (the reference).
+    for n in range(1, 31):
+        for delta in range(n):
+            plain, strong = global_defensive_degree(n, delta)
+            prior = global_defensive_degree_prior(n, delta)
+            assert _least(lambda k: k * (delta + 3) >= 2 * n, plain)
+            assert _least(lambda k: k * (delta // 2 + 1) >= n, strong)
+            assert _least(lambda k: k * ((delta + 1) // 2 + 1) >= n, prior)
+            assert (plain, strong, prior) == (
+                safe_ceil(2.0 * n / (delta + 3)),
+                safe_ceil(n / (delta // 2 + 1)),
+                safe_ceil(n / ((delta + 1) // 2 + 1)),
+            )
+        for m in range(n * (n - 1) // 2 + 1):
+            plain, strong = global_dual_size(n, m)
+            assert _least(lambda k: (2 * k) ** 2 >= 2 * m + n, plain)
+            assert _least(lambda k: 4 * k - 1 >= 0 and (4 * k - 1) ** 2 >= 1 + 8 * (n + m), strong)
+            assert (plain, strong) == (
+                safe_ceil(math.sqrt(2 * m + n) / 2.0),
+                safe_ceil((1.0 + math.sqrt(1.0 + 8.0 * (n + m))) / 4.0),
+            )
+            for delta in range(-(-2 * m // n), min(n - 1, m) + 1):
+                # k is at least the smaller root of 2k^2 - b k + c = 0,
+                # i.e. b - 4k <= sqrt(b^2 - 8c).
+                b_plain, c_plain = 2 * n + delta + 1, 2 * m + n
+                b_strong, c_strong = 2 * n + delta + 2, 2 * (m + n)
+                plain, strong = global_offensive_quadratic(n, m, delta)
+                for value, b, c in ((plain, b_plain, c_plain), (strong, b_strong, c_strong)):
+                    assert _least(lambda k: b - 4 * k <= 0 or (b - 4 * k) ** 2 <= b * b - 8 * c, value)
+                assert (plain, strong) == (
+                    safe_ceil((b_plain - math.sqrt(b_plain * b_plain - 8 * c_plain)) / 4.0),
+                    safe_ceil((b_strong - math.sqrt(b_strong * b_strong - 8 * c_strong)) / 4.0),
+                )
+
+
 class TestDominationBound:
     def test_petersen(self):
         assert domination_laplacian_radius(10, 5.0) == 2

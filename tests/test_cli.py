@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from alliances import generators
+from alliances import bounds, generators
 from alliances.alliance_solver import VARIANTS
 from alliances.cli import main, parse_family
 from alliances.generators import GraphFamilySpec, build
@@ -16,6 +16,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def planted_violation(monkeypatch):
+    """No theorem actually violates, so plant one in the theorem table: a
+    domination bound of 2, one above the exact value on complete graphs."""
+    planted = bounds._Theorem("dom-laplacian", ("domination",), lambda n: 2, ("n",))
+    monkeypatch.setattr(bounds, "_THEOREMS", (planted,))
 
 
 class TestFamilyGrammar:
@@ -237,6 +245,17 @@ class TestAnalyze:
         assert code == 2
         assert "bogus" in err
 
+    def test_violation_exits_4_with_graph(self, capsys, planted_violation):
+        code, out, err = run(capsys, "analyze", "complete:5")
+        assert code == 4
+        assert out == ""
+        assert "SOUNDNESS VIOLATION" in err
+        assert "complete:5" in err
+        line = next(line for line in err.splitlines() if line.startswith("offending graph (graph6): "))
+        assert parse_graph6(line.split(": ", 1)[1]) == generators.complete(5)
+        edgelist = err.split("offending graph (edgelist):\n", 1)[1]
+        assert parse_edgelist(edgelist)[0] == generators.complete(5)
+
 
 class TestSurvey:
     def test_complete_family_is_tight_for_def_mu(self, capsys):
@@ -298,22 +317,7 @@ class TestSurvey:
         assert code == 3
         assert "resource limit" in err
 
-    def test_violation_exits_4_with_edgelist(self, capsys, monkeypatch):
-        # No theorem actually violates, so fake one bad row to prove the
-        # fail-loudly wiring: exit code 4 and the graph dumped to stderr.
-        import alliances.report as report_mod
-
-        real_analyze = report_mod.analyze
-
-        def poisoned(g, **kwargs):
-            report = real_analyze(g, **kwargs)
-            for row in report["bounds"]:
-                if "gap" in row:
-                    row["gap"] = -1
-                    break
-            return report
-
-        monkeypatch.setattr(report_mod, "analyze", poisoned)
+    def test_violation_exits_4_with_edgelist(self, capsys, planted_violation):
         code, _, err = run(capsys, "survey", "complete:5", "--count", "2")
         assert code == 4
         assert "SOUNDNESS VIOLATION" in err

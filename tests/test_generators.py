@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from alliances import generators
-from alliances.generators import GraphFamilySpec, build
+from alliances.generators import FAMILIES, GraphFamilySpec, build, parse_family
 from alliances.graph_core import degree_stats, girth, is_connected
 from alliances.io_formats import write_graph6
 
@@ -79,13 +79,6 @@ def test_bowtie_is_one_vertex_joined_to_two_edges():
     assert girth(g) == 3
 
 
-def test_join_and_disjoint_union_counts():
-    left = generators.complete(2)
-    right = generators.cycle(3)
-    assert generators.disjoint_union(left, right).m == 1 + 3
-    assert generators.join(left, right).m == 1 + 3 + 2 * 3
-
-
 def test_gnp_extremes_and_determinism():
     assert generators.gnp(5, 0.0, seed=3).m == 0
     assert generators.gnp(5, 1.0, seed=3) == generators.complete(5)
@@ -155,3 +148,26 @@ def test_build_rejects_bad_specs():
 def test_build_gnp_deterministic_with_seed():
     spec = GraphFamilySpec("gnp", (8, 0.5), seed=42)
     assert build(spec) == build(spec)
+
+
+# One spec per family; str() writes the grammar parse_family reads.
+ONE_SPEC_PER_FAMILY = (
+    GraphFamilySpec("complete", (6,)),
+    GraphFamilySpec("complete_bipartite", (3, 4)),
+    GraphFamilySpec("cycle", (5,)),
+    GraphFamilySpec("path", (4,)),
+    GraphFamilySpec("grid", (2, 3)),
+    GraphFamilySpec("hypercube", (3,)),
+    GraphFamilySpec("petersen"),
+    GraphFamilySpec("icosahedron"),
+    GraphFamilySpec("complete_minus_matching", (6,)),
+    GraphFamilySpec("bowtie"),
+    GraphFamilySpec("gnp", (20, 0.3), seed=7),
+    GraphFamilySpec("random_regular", (10, 3), seed=2),
+)
+
+
+def test_family_spec_round_trips_through_its_string():
+    assert [spec.family for spec in ONE_SPEC_PER_FAMILY] == list(FAMILIES)
+    for spec in ONE_SPEC_PER_FAMILY:
+        assert parse_family(str(spec)) == spec
