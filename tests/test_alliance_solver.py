@@ -352,11 +352,123 @@ class TestSearchTree:
                     "domination": 408,
                 },
             ),
+            (
+                GraphFamilySpec("hypercube", (4,)),
+                {
+                    "defensive": 157,
+                    "strong_defensive": 157,
+                    "global_defensive": 3536,
+                    "global_strong_defensive": 3536,
+                    "offensive": 451,
+                    "strong_offensive": 451,
+                    "global_offensive": 216,
+                    "global_strong_offensive": 216,
+                    "global_dual": 1204,
+                    "global_strong_dual": 1204,
+                    "domination": 28,
+                },
+            ),
+            (
+                GraphFamilySpec("cycle", (24,)),
+                {
+                    "defensive": 71,
+                    "strong_defensive": 71,
+                    "global_defensive": 2158,
+                    "global_strong_defensive": 2158,
+                    "offensive": 12598,
+                    "strong_offensive": 12598,
+                    "global_offensive": 35,
+                    "global_strong_offensive": 35,
+                    "global_dual": 59,
+                    "global_strong_dual": 59,
+                    "domination": 38,
+                },
+            ),
+            (
+                GraphFamilySpec("grid", (4, 5)),
+                {
+                    "defensive": 59,
+                    "strong_defensive": 252,
+                    "global_defensive": 1284,
+                    "global_strong_defensive": 1787,
+                    "offensive": 1875,
+                    "strong_offensive": 2738,
+                    "global_offensive": 1710,
+                    "global_strong_offensive": 325,
+                    "global_dual": 1587,
+                    "global_strong_dual": 779,
+                    "domination": 339,
+                },
+            ),
+            (
+                GraphFamilySpec("complete_minus_matching", (14,)),
+                {
+                    "defensive": 714,
+                    "strong_defensive": 714,
+                    "global_defensive": 847,
+                    "global_strong_defensive": 847,
+                    "offensive": 2545,
+                    "strong_offensive": 2545,
+                    "global_offensive": 2360,
+                    "global_strong_offensive": 2360,
+                    "global_dual": 1864,
+                    "global_strong_dual": 1864,
+                    "domination": 14,
+                },
+            ),
+            (
+                GraphFamilySpec("grid", (3, 7)),
+                {
+                    "defensive": 62,
+                    "strong_defensive": 157,
+                    "global_defensive": 648,
+                    "global_strong_defensive": 518,
+                    "offensive": 2271,
+                    "strong_offensive": 2124,
+                    "global_offensive": 1485,
+                    "global_strong_offensive": 315,
+                    "global_dual": 1731,
+                    "global_strong_dual": 1833,
+                    "domination": 191,
+                },
+            ),
+            (
+                GraphFamilySpec("path", (24,)),
+                {
+                    "defensive": 24,
+                    "strong_defensive": 71,
+                    "global_defensive": 2492,
+                    "global_strong_defensive": 2179,
+                    "offensive": 24874,
+                    "strong_offensive": 24943,
+                    "global_offensive": 35,
+                    "global_strong_offensive": 37,
+                    "global_dual": 63,
+                    "global_strong_dual": 62,
+                    "domination": 39,
+                },
+            ),
+            (
+                GraphFamilySpec("grid", (3, 8)),
+                {
+                    "defensive": 71,
+                    "strong_defensive": 180,
+                    "global_defensive": 1178,
+                    "global_strong_defensive": 678,
+                    "offensive": 9372,
+                    "strong_offensive": 4930,
+                    "global_offensive": 2368,
+                    "global_strong_offensive": 793,
+                    "global_dual": 4053,
+                    "global_strong_dual": 3655,
+                    "domination": 219,
+                },
+            ),
         ],
         ids=str,
     )
     def test_benchmark_order_node_counts_are_pinned(self, spec, expected):
-        # The orders the benchmark times (n = 22-24), which the small named
+        # The graphs the benchmark times (n = 14-24), which the small named
         # corpus does not reach: the tree walked there must not change.
         g = build(spec)
         nodes = {name: min_alliance_number(g, spec_from_name(name)).nodes_explored for name in SPEC_NAMES}
