@@ -23,38 +23,14 @@ predicates and the search all read that table.
 The exact search decides vertices in index order and, besides the
 per-vertex thresholds, prunes with two counting bounds taken from the same
 conditions (never from the paper's theorems, which the survey checks
-against these values).
-
-The deficit bound: let D be the total shortfall of in-neighbors over all
-vertices, members measured against their member threshold and non-members
-against their outsider one (the boundary-only need once a non-member
-touches the set), T the largest outsider need and Δ the maximum degree. A
-new member lowers D by at most Δ+T: at most Δ neighbors gain one
-in-neighbor, and the member drops its own outsider need. So with r members
-still to place, D > r*(Δ+T) cannot be fixed. Where every outsider needs a
-member neighbor, each non-member without one adds at least 1 to D. For
-domination D counts exactly those vertices and T = 1, so the bound is the
-coverage argument gamma >= n/(Δ+1) applied at every node.
-
-The packing bound: a vertex can only be helped by its *candidates*, its
-undecided neighbors and itself while undecided. Vertices whose candidate
-sets are pairwise disjoint draw on disjoint sets of future members, so
-their least remaining needs must sum to at most r. For domination this is
-the 2-packing argument gamma >= rho (Meir & Moon, 1975) applied at every
-node.
-
-Neither bound discards a satisfying set, so values and witnesses are the
-same as without them.
-
-Work per node: a decided vertex passes its check when its in-neighbors plus
-its undecided neighbors reach its current need, and every decided vertex
-passes at every node the search stands on. So a decision re-checks only the
-vertices whose check it can change. An out decision changes no in-count and
-no deficit, and lowers by one only the undecided count of its neighbors
-below it (those above are undecided and unchecked). A join gives each
-neighbor one more member neighbor and one fewer undecided one, so no
-potential moves; only a non-member's need can rise, when its first member
-neighbor makes the boundary-only offensive need apply. The thresholds are
+against these values). The deficit bound: the total shortfall of
+in-neighbors cannot exceed what the members still to place can supply.
+For domination this is gamma >= n/(Δ+1). The packing bound: vertices
+whose candidate members are disjoint draw on disjoint future members, so
+their needs add up. For domination this is gamma >= rho (Meir & Moon,
+1975). Both run, with the per-vertex checks, in one pass after every join;
+``_search_exact`` has the detail. Neither bound discards a satisfying set,
+so values and witnesses are the same as without them. The thresholds are
 built once per graph and variant and shared by every cardinality searched.
 """
 
@@ -205,11 +181,9 @@ class _Tables(NamedTuple):
     need_in: list[int]  # in-neighbors a member needs
     need_touched: list[int]  # ... a non-member with a member neighbor
     need_out: list[int]  # ... a non-member without one
-    touch_gain: list[int]  # deficit change when a non-member gets its first member neighbor
     per_member: int  # Δ + T, the most one new member lowers the deficit
     later: list[int]  # neighbors above v: v's undecided neighbors once v is decided
     earlier: list[tuple[int, ...]]  # neighbors below v: decided when v is
-    retouch: bool  # some need_touched exceeds need_out (the boundary-only offensive rows)
 
 
 def _tables(g: Graph, cond: _Conditions) -> _Tables:
@@ -231,11 +205,9 @@ def _tables(g: Graph, cond: _Conditions) -> _Tables:
         need_in=need_in,
         need_touched=need_touched,
         need_out=need_out,
-        touch_gain=[max(0, t - 1) - o for t, o in zip(need_touched, need_out)],
         per_member=max(degree) + max(need_touched),
         later=[(masks[v] >> v + 1).bit_count() for v in range(n)],
         earlier=[tuple(w for w in adjacency[v] if w < v) for v in range(n)],
-        retouch=any(t > o for t, o in zip(need_touched, need_out)),
     )
 
 
@@ -248,116 +220,102 @@ def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | 
     Vertices are decided in/out in index order, in-branch first, so the
     first hit is the lexicographically smallest satisfying k-subset. Each
     vertex's thresholds are turned into in-neighbor counts once per variant
-    (``_tables``): ``need_in`` as a member, ``need_out`` as a non-member and
-    ``need_touched`` as a non-member with a member neighbor. The decided
-    prefix ``status[:u]`` is the search stack, so the depth (the graph
-    order) is not bounded by the recursion limit.
+    (``_tables``): ``need_in`` as a member, ``need_touched`` as a non-member
+    with a member neighbor and ``need_out`` as one without. A vertex's
+    *need* is the one of these that fits its status, less its in-count; an
+    undecided vertex counts as a non-member. The decided prefix
+    ``status[:u]`` is the search stack, so the depth (the graph order) is
+    not bounded by the recursion limit.
 
     A decided vertex passes its check when its *potential*, ``in`` plus its
     undecided neighbors, reaches its current need. Invariant: at every node
-    the search stands on, every decided vertex passes. Decisions go in index
-    order, so once u is decided a vertex w's undecided neighbors are those
-    above u, ``(masks[w] >> u + 1).bit_count()``, and u's own are
-    ``later[u]``; its decided neighbors are ``earlier[u]``. So a decision
-    re-checks only the vertices whose check it can change:
+    the search stands on, every decided vertex passes. Once u is decided, a
+    vertex w's undecided neighbors are those above u, ``(masks[w] >> u +
+    1).bit_count()``, and u's own are ``later[u]``; its decided neighbors
+    are ``earlier[u]``.
 
-    * an out decision changes no in-count and no deficit; it lowers the
-      potential of each of ``earlier[u]`` by one, so it checks u and
-      ``earlier[u]``, and retracting it is just ``status[u] = _UNDECIDED``;
-    * a join raises ``in`` and lowers the undecided count of every neighbor
-      by one, so no decided neighbor's potential moves. The only need that
-      rises is that of a non-member going from ``in = 0`` to 1 where
-      ``need_touched > need_out``, which happens only for ``offensive`` and
-      ``strong_offensive``; a join checks u and those.
+    An out decision changes no in-count, no need and not r, the number of
+    members still to place; it lowers the potential of u and of each of
+    ``earlier[u]`` by one, so it checks just those, and retracting it is
+    ``status[u] = _UNDECIDED``. A join and its retraction only add or
+    subtract one in-count per neighbor; ``bounds_ok`` then runs one pass
+    over all vertices, at the root and after every join, and fails at the
+    first of three tests:
 
-    Two bounds prune at the root and after every join, with
-    ``r = k - chosen`` members still to place. An out decision changes
-    neither r nor any need, so it needs neither.
-
-    The deficit bound: D sums ``max(0, need_v - in_v)`` over all vertices,
-    where ``need_v`` is ``need_in`` for a member, ``need_touched`` for a
-    non-member with ``in_v > 0`` and ``need_out`` otherwise. A new member
-    raises ``in`` of at most Δ (the maximum degree) vertices by one and
-    drops its own non-member need of at most T (the largest
-    ``need_touched``), so ``D > r*(Δ+T)`` is hopeless. A neighbor going from
-    ``in = 0`` to ``in = 1`` moves its term by ``touch_gain``, which is
-    positive where the boundary-only need starts to apply; D may grow, but
-    never falls by more than Δ+T per member. For domination D is the number
-    of undominated vertices and T = 1, the coverage bound.
-
-    The packing bound: a vertex's candidates are its undecided neighbors,
-    plus itself while undecided. A member still needs ``need_in - in`` of
-    them, a decided non-member ``need_v - in`` as above, and an undecided
-    vertex the smaller of its non-member need and ``1 + max(0, need_in -
-    in)`` (itself, then its member need). Greedily, in index order, pack
-    vertices with a positive need whose candidate sets are pairwise
-    disjoint; each future member serves at most one of them, so packed needs
-    summing to more than r are hopeless. It runs only once the cheaper
-    checks pass. For domination this is the 2-packing bound gamma >= rho.
+    * the potential check of every decided vertex. A join moves no decided
+      neighbor's potential (one more member neighbor, one fewer undecided),
+      so only u and, for ``offensive`` and ``strong_offensive``, a
+      non-member it touches for the first time (whose need rises to
+      ``need_touched``) can fail it;
+    * the deficit bound: D sums the positive needs. A new member raises
+      ``in`` of at most Δ (the maximum degree) vertices by one and drops its
+      own non-member need of at most T (the largest ``need_touched``), so
+      ``D > r*(Δ+T)`` is hopeless. For domination D is the number of
+      undominated vertices and T = 1, the coverage bound gamma >= n/(Δ+1);
+    * the packing bound: a vertex's candidates are its undecided neighbors,
+      plus itself while undecided. Greedily, in index order, pack vertices
+      with a positive need whose candidate sets are pairwise disjoint; an
+      undecided vertex counts the smaller of its need and ``1 + max(0,
+      need_in - in)`` (itself, then its member need). Each future member
+      serves at most one of them, so packed needs summing to more than r
+      are hopeless. For domination this is the 2-packing bound gamma >= rho
+      (Meir & Moon, 1975).
 
     The bounds only discard subtrees with no satisfying k-set, so the first
     hit and the witness are unchanged; only the node count drops.
     """
-    n, adjacency, masks, need_in, need_touched, need_out, touch_gain, per_member, later, earlier, retouch = t
+    n, adjacency, masks, need_in, need_touched, need_out, per_member, later, earlier = t
     status = [_UNDECIDED] * n
     in_count = [0] * n
-    deficit = sum(need_out)  # every vertex starts as a non-member
     full = (1 << n) - 1
 
-    def packing_ok(first: int, r: int) -> bool:
+    def bounds_ok(first: int, r: int) -> bool:
         # Vertices before ``first`` are decided, the rest undecided.
         rest = full >> first << first
+        cap = r * per_member
+        deficit = 0
         used = 0
         packed = 0
         for v in range(first):
-            candidates = masks[v] & rest
-            if not candidates or candidates & used:
-                continue
             c = in_count[v]
             if status[v] == _IN:
                 need = need_in[v] - c
             else:
                 need = (need_touched[v] if c else need_out[v]) - c
             if need > 0:
-                used |= candidates
-                packed += need
-                if packed > r:
+                candidates = masks[v] & rest
+                deficit += need
+                if need > candidates.bit_count() or deficit > cap:
                     return False
+                if not candidates & used:
+                    used |= candidates
+                    packed += need
+                    if packed > r:
+                        return False
         for v in range(first, n):
-            candidates = masks[v] & rest | 1 << v
-            if candidates & used:
-                continue
             c = in_count[v]
             need = (need_touched[v] if c else need_out[v]) - c
             if need > 0:
-                used |= candidates
-                packed += min(need, 1 + max(0, need_in[v] - c))
-                if packed > r:
+                deficit += need
+                if deficit > cap:
                     return False
+                candidates = masks[v] & rest | 1 << v
+                if not candidates & used:
+                    used |= candidates
+                    packed += min(need, 1 + max(0, need_in[v] - c))
+                    if packed > r:
+                        return False
         return True
 
     def retract(v: int) -> bool:
-        nonlocal deficit
         joined = status[v] == _IN
         status[v] = _UNDECIDED
-        if not joined:
-            return False
-        for w in adjacency[v]:
-            c = in_count[w] - 1
-            in_count[w] = c
-            if status[w] == _IN:
-                deficit += c < need_in[w]
-            elif c:
-                deficit += c < need_touched[w]
-            else:
-                deficit -= touch_gain[w]
-        c = in_count[v]
-        short = (need_touched[v] if c else need_out[v]) - c
-        lack = need_in[v] - c
-        deficit += (short if short > 0 else 0) - (lack if lack > 0 else 0)
-        return True
+        if joined:
+            for w in adjacency[v]:
+                in_count[w] -= 1
+        return joined
 
-    if deficit > k * per_member or not packing_ok(0, k):
+    if not bounds_ok(0, k):
         return None
     chosen = 0
     smask = 0
@@ -376,34 +334,11 @@ def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | 
                     nodes_explored=counter["nodes"],
                 )
             shift = u + 1
-            c = in_count[u]
             if joins:
                 status[u] = _IN
-                short = (need_touched[u] if c else need_out[u]) - c
-                lack = need_in[u] - c
-                deficit += (lack if lack > 0 else 0) - (short if short > 0 else 0)
                 for w in adjacency[u]:
-                    c = in_count[w]
-                    in_count[w] = c + 1
-                    if status[w] == _IN:
-                        deficit -= c < need_in[w]
-                    elif c:
-                        deficit -= c < need_touched[w]
-                    else:
-                        deficit += touch_gain[w]
-                ok = deficit <= (k - chosen - 1) * per_member and in_count[u] + later[u] >= need_in[u]
-                if ok and retouch:
-                    # No decided neighbor's potential moved; one touched for
-                    # the first time may now need more.
-                    for w in earlier[u]:
-                        if (
-                            in_count[w] == 1
-                            and status[w] == _OUT
-                            and 1 + (masks[w] >> shift).bit_count() < need_touched[w]
-                        ):
-                            ok = False
-                            break
-                if ok and packing_ok(shift, k - chosen - 1):
+                    in_count[w] += 1
+                if bounds_ok(shift, k - chosen - 1):
                     chosen += 1
                     smask |= 1 << u
                     u = shift
@@ -411,6 +346,7 @@ def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | 
                 retract(u)
             else:
                 # Only u and its decided neighbors lose potential.
+                c = in_count[u]
                 ok = c + later[u] >= (need_touched[u] if c else need_out[u])
                 if ok:
                     for w in earlier[u]:

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 from .alliance_solver import ResourceLimitError, SearchLimits, VARIANTS
 from .generators import build, parse_family
 from .graph_core import Graph
-from .io_formats import ParseError, parse_graph, write_edgelist, write_graph6
+from .io_formats import ParseError, parse_graph, parse_graph6, write_edgelist, write_graph6
 from .report import (
     EXACT_SPECS,
     SoundnessViolation,
@@ -33,22 +33,28 @@ from .report import (
 )
 
 
-def _sniff_format(source: str, data: str, explicit: str) -> str:
-    if explicit != "auto":
-        return explicit
-    if data.lstrip().startswith(">>graph6<<"):
-        return "graph6"
-    if source.endswith((".g6", ".graph6")):
-        return "graph6"
-    return "edgelist"
+def _parse_input(source: str, data: str, explicit: str) -> tuple[Graph, tuple[str, ...] | None]:
+    """graph6 when forced, headed, named ``.g6``/``.graph6``, or when the
+    input is one token that decodes as graph6; an edge list otherwise."""
+    fmt = explicit
+    if fmt == "auto":
+        if data.lstrip().startswith(">>graph6<<") or source.endswith((".g6", ".graph6")):
+            fmt = "graph6"
+        else:
+            tokens = data.split(None, 1)
+            if len(tokens) == 1:
+                try:
+                    return parse_graph6(tokens[0]), None
+                except ParseError:
+                    pass
+            fmt = "edgelist"
+    return parse_graph(data, fmt)
 
 
 def _load_source(source: str, input_format: str) -> tuple[Graph, tuple[str, ...] | None, str]:
     """Resolve a source argument to (graph, labels, display label)."""
     if source == "-":
-        data = sys.stdin.read()
-        fmt = _sniff_format(source, data, input_format)
-        graph, labels = parse_graph(data, fmt)
+        graph, labels = _parse_input(source, sys.stdin.read(), input_format)
         return graph, labels, "stdin"
     if os.path.exists(source):
         try:
@@ -56,8 +62,7 @@ def _load_source(source: str, input_format: str) -> tuple[Graph, tuple[str, ...]
                 data = handle.read()
         except OSError as exc:
             raise ParseError(f"cannot read {source!r}: {exc.strerror or exc}") from None
-        fmt = _sniff_format(source, data, input_format)
-        graph, labels = parse_graph(data, fmt)
+        graph, labels = _parse_input(source, data, input_format)
         return graph, labels, os.path.basename(source)
     try:
         spec = parse_family(source)

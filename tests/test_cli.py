@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from alliances.alliance_solver import VARIANTS
 from alliances.cli import main, parse_family
 from alliances.generators import GraphFamilySpec, build
 from alliances.graph_core import MAX_ORDER
-from alliances.io_formats import parse_edgelist, parse_graph6
+from alliances.io_formats import parse_edgelist, parse_graph6, write_graph6
 from alliances.report import EXACT_SPECS
 
 
@@ -149,12 +150,26 @@ class TestAnalyze:
         assert json.loads(out)["graph"]["m"] == 6
 
     def test_stdin_source(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO("a b\nb c\n"))
         code, out, _ = run(capsys, "analyze", "-", "--deterministic")
         assert code == 0
         assert json.loads(out)["label"] == "stdin"
+
+    @pytest.mark.parametrize(
+        ("text", "argv", "n"),
+        [
+            (write_graph6(generators.petersen()) + "\n", (), 10),
+            ("v\n", (), 1),
+            (write_graph6(generators.petersen()) + "\n", ("--input-format", "edgelist"), 1),
+        ],
+        ids=("graph6-line", "lone-token", "forced-edgelist"),
+    )
+    def test_stdin_format_detection(self, capsys, monkeypatch, text, argv, n):
+        # A lone token is graph6 when it decodes as graph6, else one vertex.
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "analyze", "-", *argv, "--bounds-only", "--deterministic")
+        assert code == 0
+        assert json.loads(out)["graph"]["n"] == n
 
     def test_order_one_graph(self, capsys):
         code, out, _ = run(capsys, "analyze", "path:1", "--deterministic")
@@ -355,7 +370,7 @@ class TestGenerate:
         _, seeded, _ = run(capsys, "generate", "gnp:14:0.5:seed=0")
         assert unseeded == again == seeded
 
-    def test_bowtie_alias_for_join(self, capsys):
+    def test_bowtie_edge_list_matches_build(self, capsys):
         code, out, _ = run(capsys, "generate", "bowtie")
         assert code == 0
         g, _ = parse_edgelist(out)
