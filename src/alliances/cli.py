@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 from .alliance_solver import ResourceLimitError, SearchLimits, VARIANTS
 from .generators import build, parse_family
 from .graph_core import Graph
-from .io_formats import ParseError, parse_graph, parse_graph6, write_edgelist, write_graph6
+from .io_formats import FORMATS, ParseError, parse_graph, write_edgelist, write_graph6
 from .report import (
     EXACT_SPECS,
     SoundnessViolation,
@@ -33,28 +33,10 @@ from .report import (
 )
 
 
-def _parse_input(source: str, data: str, explicit: str) -> tuple[Graph, tuple[str, ...] | None]:
-    """graph6 when forced, headed, named ``.g6``/``.graph6``, or when the
-    input is one token that decodes as graph6; an edge list otherwise."""
-    fmt = explicit
-    if fmt == "auto":
-        if data.lstrip().startswith(">>graph6<<") or source.endswith((".g6", ".graph6")):
-            fmt = "graph6"
-        else:
-            tokens = data.split(None, 1)
-            if len(tokens) == 1:
-                try:
-                    return parse_graph6(tokens[0]), None
-                except ParseError:
-                    pass
-            fmt = "edgelist"
-    return parse_graph(data, fmt)
-
-
 def _load_source(source: str, input_format: str) -> tuple[Graph, tuple[str, ...] | None, str]:
     """Resolve a source argument to (graph, labels, display label)."""
     if source == "-":
-        graph, labels = _parse_input(source, sys.stdin.read(), input_format)
+        graph, labels = parse_graph(sys.stdin.read(), input_format, source)
         return graph, labels, "stdin"
     if os.path.exists(source):
         try:
@@ -62,7 +44,7 @@ def _load_source(source: str, input_format: str) -> tuple[Graph, tuple[str, ...]
                 data = handle.read()
         except OSError as exc:
             raise ParseError(f"cannot read {source!r}: {exc.strerror or exc}") from None
-        graph, labels = _parse_input(source, data, input_format)
+        graph, labels = parse_graph(data, input_format, source)
         return graph, labels, os.path.basename(source)
     try:
         spec = parse_family(source)
@@ -150,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze_p.add_argument("--theorems", help="comma list of theorem ids to evaluate")
     analyze_p.add_argument("--bounds-only", action="store_true", help="skip exact solving")
     analyze_p.add_argument("--format", choices=("json", "csv"), default="json")
-    analyze_p.add_argument("--input-format", choices=("auto", "edgelist", "graph6"), default="auto")
+    analyze_p.add_argument("--input-format", choices=FORMATS, default="auto")
     analyze_p.add_argument("--max-n", type=int, default=SearchLimits().max_n, help="solver ceiling")
     analyze_p.add_argument("--deterministic", action="store_true", help="suppress the timestamp field")
     analyze_p.set_defaults(func=_cmd_analyze)

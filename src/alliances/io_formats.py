@@ -5,8 +5,14 @@ tokens). A line with a single token declares an isolated vertex, which keeps
 the format lossless for disconnected graphs. Duplicate edges collapse
 silently; self-loops are a parse error.
 
-graph6: the standard printable 6-bit encoding, including the 4-byte and
-8-byte order forms for n >= 63 and the optional ``>>graph6<<`` header.
+graph6: the standard printable 6-bit encoding (B. D. McKay, "graph6 and
+sparse6 graph formats", distributed with nauty) with its 1-byte order form
+for n <= 62, its 4-byte form for 63 <= n <= MAX_ORDER and the optional
+``>>graph6<<`` header. The 8-byte form starts at n = 258048, above
+``MAX_ORDER``, and is refused.
+
+``parse_graph`` is the one place that decides which of the two formats an
+input is in.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ __all__ = [
 ]
 
 GRAPH6_HEADER = ">>graph6<<"
+FORMATS = ("auto", "edgelist", "graph6")
 
 
 class ParseError(ValueError):
@@ -64,51 +71,40 @@ def parse_edgelist(text: str) -> tuple[Graph, tuple[str, ...]]:
     return Graph(len(labels), edges), tuple(labels)
 
 
-def _graph6_order(data: str) -> tuple[int, str]:
-    """Decode the leading order field; returns (n, remaining characters)."""
-    if data[0] != "~":
-        return ord(data[0]) - 63, data[1:]
-    if len(data) >= 2 and data[1] != "~":
-        if len(data) < 4:
-            raise ParseError("truncated graph6 order field")
-        n = 0
-        for ch in data[1:4]:
-            n = (n << 6) | (ord(ch) - 63)
-        return n, data[4:]
-    if len(data) < 8:
-        raise ParseError("truncated graph6 order field")
-    n = 0
-    for ch in data[2:8]:
-        n = (n << 6) | (ord(ch) - 63)
-    return n, data[8:]
-
-
-def parse_graph6(data: str | bytes) -> Graph:
-    """Decode one graph6 line (header optional)."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"graph6 input is not ASCII: {exc}") from None
-    data = data.strip()
-    if data.startswith(GRAPH6_HEADER):
-        data = data[len(GRAPH6_HEADER):]
-    if not data:
-        raise ParseError("empty graph6 input")
-    for offset, ch in enumerate(data):
+def _graph6_layout(token: str) -> tuple[int, str] | str:
+    """Split one graph6 token, header removed, into its order and body, or
+    return why it is not laid out as graph6. An order field above
+    ``MAX_ORDER`` raises: the token is graph6, but too large to build."""
+    if not token:
+        return "empty graph6 input"
+    for offset, ch in enumerate(token):
         if not 63 <= ord(ch) <= 126:
-            raise ParseError(f"invalid graph6 byte {ch!r} at offset {offset}")
-    n, body = _graph6_order(data)
-    if n < 1:
-        raise ParseError(f"graph6 order {n} is not supported (need n >= 1)")
+            return f"invalid graph6 byte {ch!r} at offset {offset}"
+    if token.startswith("~~"):  # the 8-byte form starts at n = 258048
+        raise ParseError(f"graph6 order field '~~' names n >= 258048, above the ceiling of {MAX_ORDER} vertices")
+    if token[0] == "~":
+        if len(token) < 4:
+            return "truncated graph6 order field"
+        n = 0
+        for ch in token[1:4]:
+            n = (n << 6) | (ord(ch) - 63)
+        body = token[4:]
+    else:
+        n, body = ord(token[0]) - 63, token[1:]
     if n > MAX_ORDER:
         raise ParseError(f"graph6 order {n} exceeds the ceiling of {MAX_ORDER} vertices")
-    bits_needed = n * (n - 1) // 2
-    chars_needed = (bits_needed + 5) // 6
+    if n < 1:
+        return f"graph6 order {n} is not supported (need n >= 1)"
+    chars_needed = (n * (n - 1) // 2 + 5) // 6
     if len(body) != chars_needed:
-        raise ParseError(
-            f"graph6 body for n={n} needs {chars_needed} characters, got {len(body)}"
-        )
+        return f"graph6 body for n={n} needs {chars_needed} characters, got {len(body)}"
+    return n, body
+
+
+def _graph6_decode(layout: tuple[int, str] | str) -> Graph:
+    if isinstance(layout, str):
+        raise ParseError(layout)
+    n, body = layout
     edges: list[tuple[int, int]] = []
     index = 0  # position in the bit stream: pairs (i, j), j ascending, i < j
     for j in range(1, n):
@@ -120,17 +116,47 @@ def parse_graph6(data: str | bytes) -> Graph:
     return Graph(n, edges)
 
 
-def parse_graph(data: str | bytes, fmt: str) -> tuple[Graph, tuple[str, ...] | None]:
-    """Parse ``data`` as ``fmt`` ('edgelist' or 'graph6'); labels only exist
-    for edge lists."""
+def parse_graph6(data: str | bytes) -> Graph:
+    """Decode one graph6 line (header optional)."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"graph6 input is not ASCII: {exc}") from None
+    return _graph6_decode(_graph6_layout(data.strip().removeprefix(GRAPH6_HEADER)))
+
+
+def parse_graph(data: str, fmt: str = "auto", name: str = "") -> tuple[Graph, tuple[str, ...] | None]:
+    """Parse ``data`` as ``fmt``, one of ``FORMATS``; labels exist only for
+    edge lists. ``name`` is the input's file name, if it has one.
+
+    One leading byte-order mark is dropped first. ``auto`` reads graph6 when
+    the name ends in ``.g6`` or ``.graph6``, when the text opens with the
+    ``>>graph6<<`` header, or when every non-blank line is one token laid out
+    as graph6; anything else is an edge list. A graph6 input must hold
+    exactly one graph.
+    """
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown graph format {fmt!r}")
+    data = data.removeprefix("\ufeff")
     if fmt == "edgelist":
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        graph, labels = parse_edgelist(data)
-        return graph, labels
-    if fmt == "graph6":
-        return parse_graph6(data), None
-    raise ValueError(f"unknown graph format {fmt!r}")
+        return parse_edgelist(data)
+    text = data.strip()
+    lines = [line.strip() for line in text.removeprefix(GRAPH6_HEADER).splitlines() if line.strip()]
+    layouts = None
+    if fmt == "auto" and not (text.startswith(GRAPH6_HEADER) or name.endswith((".g6", ".graph6"))):
+        # Every line must be a lone token before any is read as graph6, so
+        # an edge list never meets the order-field ceiling.
+        if not lines or any(len(line.split()) > 1 for line in lines):
+            return parse_edgelist(data)
+        layouts = [_graph6_layout(line) for line in lines]
+        if any(isinstance(layout, str) for layout in layouts):
+            return parse_edgelist(data)
+    if len(lines) > 1:
+        raise ParseError(f"graph6 input holds {len(lines)} graphs, one per line; analyze reads one graph")
+    if not lines:
+        raise ParseError("empty graph6 input")
+    return _graph6_decode(layouts[0] if layouts else _graph6_layout(lines[0])), None
 
 
 def write_edgelist(g: Graph, labels: tuple[str, ...] | None = None) -> str:
@@ -147,10 +173,8 @@ def write_graph6(g: Graph) -> str:
     n = g.n
     if n < 63:
         head = chr(n + 63)
-    elif n <= 258047:
+    else:  # n <= MAX_ORDER, so the 4-byte form always suffices
         head = "~" + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
-    else:
-        head = "~~" + "".join(chr(((n >> shift) & 63) + 63) for shift in (30, 24, 18, 12, 6, 0))
     bits: list[int] = []
     for j in range(1, n):
         for i in range(j):

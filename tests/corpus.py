@@ -39,3 +39,10 @@ def random_connected_graphs(count: int, seed: int, min_n: int = 4, max_n: int = 
         if is_connected(g):
             out.append(g)
     return out
+
+
+def edgeless_graph6(n: int) -> str:
+    """A well-formed graph6 line for the edgeless graph of order n (4-byte
+    order form), built without a Graph, so n may exceed the ceiling."""
+    head = "~" + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
+    return head + "?" * ((n * (n - 1) // 2 + 5) // 6)

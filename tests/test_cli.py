@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import alliances
 from alliances import bounds, generators
 from alliances.alliance_solver import VARIANTS
 from alliances.cli import main, parse_family
@@ -11,6 +16,8 @@ from alliances.generators import GraphFamilySpec, build
 from alliances.graph_core import MAX_ORDER
 from alliances.io_formats import parse_edgelist, parse_graph6, write_graph6
 from alliances.report import EXACT_SPECS
+
+from corpus import edgeless_graph6
 
 
 def run(capsys, *argv):
@@ -156,20 +163,47 @@ class TestAnalyze:
         assert json.loads(out)["label"] == "stdin"
 
     @pytest.mark.parametrize(
-        ("text", "argv", "n"),
+        ("text", "argv", "code", "expected"),
         [
-            (write_graph6(generators.petersen()) + "\n", (), 10),
-            ("v\n", (), 1),
-            (write_graph6(generators.petersen()) + "\n", ("--input-format", "edgelist"), 1),
+            (write_graph6(generators.petersen()) + "\n", (), 0, 10),
+            ("v\n", (), 0, 1),
+            (write_graph6(generators.petersen()) + "\n", ("--input-format", "edgelist"), 0, 1),
+            ("?\n", (), 0, 1),
+            (edgeless_graph6(MAX_ORDER + 1) + "\n", (), 2, f"order {MAX_ORDER + 1} exceeds the ceiling"),
+            ("IheA@GUAo\nA_\n", (), 2, "holds 2 graphs"),
+            ("~~" + "~" * 6 + "?\n", (), 2, "ceiling"),
         ],
-        ids=("graph6-line", "lone-token", "forced-edgelist"),
+        ids=(
+            "graph6-line", "lone-token", "forced-edgelist", "order-zero",
+            "order-above-ceiling", "two-graph-stream", "eight-byte-order",
+        ),
     )
-    def test_stdin_format_detection(self, capsys, monkeypatch, text, argv, n):
-        # A lone token is graph6 when it decodes as graph6, else one vertex.
+    def test_stdin_format_detection(self, capsys, monkeypatch, text, argv, code, expected):
+        # graph6 when every non-blank line is one token laid out as graph6
+        # (bytes 63-126, an order field of n >= 1, a body of the length n
+        # needs); an edge list otherwise. A graph6 input's own errors (an
+        # order above the ceiling, more than one graph) exit 2.
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        code, out, _ = run(capsys, "analyze", "-", *argv, "--bounds-only", "--deterministic")
+        got, out, err = run(capsys, "analyze", "-", *argv, "--bounds-only", "--deterministic")
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["graph"]["n"] == expected
+        else:
+            assert out == "" and len(err.splitlines()) == 1 and expected in err
+
+    def test_graph6_file_with_two_graphs(self, capsys, tmp_path):
+        source = tmp_path / "pair.g6"
+        source.write_text(write_graph6(generators.petersen()) + "\nA_\n")
+        code, out, err = run(capsys, "analyze", str(source), "--bounds-only")
+        assert code == 2 and out == ""
+        assert "holds 2 graphs" in err and "analyze reads one graph" in err
+
+    def test_byte_order_mark_is_not_a_label(self, capsys, tmp_path):
+        source = tmp_path / "bom.txt"
+        source.write_bytes(b"\xef\xbb\xbfa b\nb c\n")
+        code, out, _ = run(capsys, "analyze", str(source), "--bounds-only", "--deterministic")
         assert code == 0
-        assert json.loads(out)["graph"]["n"] == n
+        assert json.loads(out)["labels"] == ["a", "b", "c"]
 
     def test_order_one_graph(self, capsys):
         code, out, _ = run(capsys, "analyze", "path:1", "--deterministic")
@@ -401,3 +435,18 @@ class TestOrderCeiling:
         assert code == 0
         g, _ = parse_edgelist(out)
         assert (g.n, g.m) == (MAX_ORDER, 12 * MAX_ORDER // 2)
+
+
+def test_generate_piped_into_analyze():
+    # Two real processes joined by an OS pipe: every other test swaps an
+    # io.StringIO in for stdin.
+    env = {**os.environ, "PYTHONPATH": str(Path(alliances.__file__).parents[1])}
+    cli = [sys.executable, "-m", "alliances.cli"]
+    with subprocess.Popen([*cli, "generate", "petersen", "--format", "graph6"], stdout=subprocess.PIPE, env=env) as generate:
+        analyze = subprocess.run(
+            [*cli, "analyze", "-", "--bounds-only", "--deterministic"],
+            stdin=generate.stdout, capture_output=True, text=True, env=env, timeout=60,
+        )
+    assert generate.returncode == 0
+    assert analyze.returncode == 0, analyze.stderr
+    assert json.loads(analyze.stdout)["graph"]["n"] == 10
