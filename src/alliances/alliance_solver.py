@@ -115,8 +115,10 @@ class AllianceResult:
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Solver guard rails: graphs above ``max_n`` are refused, and
-    ``max_nodes`` caps the search tree size."""
+    """Solver guard rails: ``max_nodes`` caps the search tree size, and a
+    graph above ``max_n`` is refused with :class:`ResourceLimitError`
+    before any search. The solver is the one place that order is compared
+    with ``max_n``; ``analyze`` and ``survey`` rely on its refusal."""
 
     max_n: int = 24
     max_nodes: int | None = None
@@ -385,7 +387,10 @@ def _minimize(g: Graph, cond: _Conditions, limits: SearchLimits | None) -> Allia
     vertices are decided in index order."""
     limits = limits or SearchLimits()
     if g.n > limits.max_n:
-        raise ResourceLimitError(f"order {g.n} exceeds the solver ceiling {limits.max_n}; raise max_n to search anyway")
+        raise ResourceLimitError(
+            f"order {g.n} exceeds the solver ceiling {limits.max_n}; raise max_n (--max-n) to search anyway,"
+            " or evaluate the bounds alone (analyze --bounds-only)"
+        )
     tables = _tables(g, cond)
     counter = {"nodes": 0}
     for k in range(1, g.n + 1):

@@ -41,6 +41,7 @@ __all__ = [
     "global_dual_spectral_radius",
     "global_dual_size",
     "domination_laplacian_radius",
+    "select_theorems",
     "evaluate_all",
 ]
 
@@ -280,6 +281,18 @@ THEOREM_IDS: tuple[str, ...] = tuple(theorem.id for theorem in _THEOREMS)
 TARGETS: frozenset[str] = frozenset(target for theorem in _THEOREMS for target in theorem.targets)
 
 
+def select_theorems(theorems: Iterable[str] | None) -> set[str]:
+    """The ids to evaluate, every one in ``THEOREM_IDS`` when ``theorems`` is
+    None; an id outside the table raises ``ValueError``."""
+    if theorems is None:
+        return set(THEOREM_IDS)
+    selected = set(theorems)
+    unknown = selected.difference(THEOREM_IDS)
+    if unknown:
+        raise ValueError(f"unknown theorem id(s): {', '.join(sorted(unknown))}")
+    return selected
+
+
 def evaluate_all(
     g: Graph,
     summary: SpectralSummary | None = None,
@@ -291,14 +304,7 @@ def evaluate_all(
     spectral theorems are then reported inapplicable. Values are clamped at
     zero: a negative lower bound carries no information.
     """
-    if theorems is None:
-        selected = set(THEOREM_IDS)
-    else:
-        selected = set(theorems)
-        unknown = selected.difference(THEOREM_IDS)
-        if unknown:
-            raise ValueError(f"unknown theorem id(s): {', '.join(sorted(unknown))}")
-
+    selected = select_theorems(theorems)
     stats = degree_stats(g)
     quantities = {
         "n": g.n,

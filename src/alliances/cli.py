@@ -4,8 +4,14 @@ Graph sources are a file path, ``-`` for standard input, or a family spec
 string with the grammar ``name[:p1[:p2]][:seed=S]``, for example
 ``petersen``, ``complete:6``, ``grid:2:3``, ``gnp:20:0.3:seed=7``.
 
+``--specs`` and ``--theorems`` take comma lists; a list that is given but
+empty (``""`` or ``","``) selects nothing, and ``--specs`` and ``--all``
+exclude each other.
+
 Exit codes: 0 success, 1 standard output closed by its reader, 2 parse/usage
-error, 3 resource limit, 4 soundness violation (a bound above its exact value,
+error, 3 resource limit (an order above the solver ceiling, which ``analyze``
+without ``--bounds-only`` and ``survey`` refuse before any other work, or a
+spent node budget), 4 soundness violation (a bound above its exact value,
 found by ``analyze`` or by any graph ``survey`` samples).
 """
 
@@ -53,32 +59,27 @@ def _load_source(source: str, input_format: str) -> tuple[Graph, tuple[str, ...]
     return build(spec), None, source
 
 
-def _parse_specs(value: str | None, all_flag: bool) -> tuple[str, ...] | None:
-    if all_flag:
-        return tuple(VARIANTS)
+def _comma_list(value: str | None) -> tuple[str, ...] | None:
+    """Split a comma list option: None when the option is absent, and a
+    given list without tokens (``""`` or ``","``) selects nothing."""
     if value is None:
-        return None  # analyze() falls back to its default set
-    names = []
-    for token in value.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token not in EXACT_SPECS:
-            raise ValueError(f"unknown spec token {token!r}; known: {', '.join(EXACT_SPECS)}")
-        names.append(EXACT_SPECS[token])
-    return tuple(names)
+        return None
+    return tuple(token for token in (part.strip() for part in value.split(",")) if token)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     graph, labels, label = _load_source(args.source, args.input_format)
-    specs = _parse_specs(args.specs, args.all)
-    theorems = tuple(t.strip() for t in args.theorems.split(",") if t.strip()) if args.theorems else None
+    specs = _comma_list(args.specs)
+    if args.all:
+        specs = tuple(VARIANTS)
+    elif specs is not None:
+        specs = tuple(EXACT_SPECS.get(token, token) for token in specs)  # analyze names an unknown one
     report = analyze(
         graph,
         label=label,
         labels=labels,
         specs=specs,
-        theorems=theorems,
+        theorems=_comma_list(args.theorems),
         bounds_only=args.bounds_only,
         limits=SearchLimits(max_n=args.max_n),
         deterministic=args.deterministic,
@@ -99,7 +100,7 @@ def _echoed(rows: Iterable[dict]) -> Iterator[dict]:
 
 def _cmd_survey(args: argparse.Namespace) -> int:
     spec = parse_family(args.family)
-    rows = survey_rows(spec, args.count, spec.seed, limits=SearchLimits(max_n=args.max_n))
+    rows = survey_rows(spec, args.count, limits=SearchLimits(max_n=args.max_n))
     stream = args.format == "json"
     summary = summarize_survey(_echoed(rows) if stream else rows)
     if stream:
@@ -127,8 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze_p = sub.add_parser("analyze", help="analyze one graph")
     analyze_p.add_argument("source", help="file path, '-' for stdin, or a family spec string")
-    analyze_p.add_argument("--specs", help="comma list of alliance spec tokens (e.g. def,strongdef,dom)")
-    analyze_p.add_argument("--all", action="store_true", help="compute every exact value")
+    which = analyze_p.add_mutually_exclusive_group()
+    which.add_argument("--specs", help="comma list of alliance spec tokens (e.g. def,strongdef,dom)")
+    which.add_argument("--all", action="store_true", help="compute every exact value")
     analyze_p.add_argument("--theorems", help="comma list of theorem ids to evaluate")
     analyze_p.add_argument("--bounds-only", action="store_true", help="skip exact solving")
     analyze_p.add_argument("--format", choices=("json", "csv"), default="json")

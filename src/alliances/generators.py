@@ -218,8 +218,8 @@ def _switched_circulant(n: int, d: int, rng: random.Random) -> list[tuple[int, i
     """Edges of a d-regular graph: the circulant joining each vertex to the
     d//2 next ones around a cycle (and, for odd d, to the opposite one),
     then ``_SWITCHES_PER_EDGE`` switch attempts per edge. A switch replaces
-    edges {a, b} and {c, e} by {a, c} and {b, e}, and is skipped when that
-    makes a loop or a repeated edge, so every degree stays d."""
+    edges {a, b} and {c, e} by {a, c} and {b, e}, and is not made when that
+    would make a loop or a repeated edge, so every degree stays d."""
     edges = [(v, (v + step) % n) for v in range(n) for step in range(1, d // 2 + 1)]
     if d % 2:
         edges += [(v, v + n // 2) for v in range(n // 2)]

@@ -12,7 +12,6 @@ from typing import Iterable, Iterator, Sequence
 
 from . import bounds as bounds_mod
 from .alliance_solver import (
-    ResourceLimitError,
     SearchLimits,
     VARIANTS,
     domination_number,
@@ -99,21 +98,26 @@ def analyze(
 ) -> dict:
     """Analyze one graph: metadata, spectra, exact values, bounds, gaps.
 
-    Exact solving is skipped (with a notation per entry) when the order
-    exceeds the solver ceiling; everything else still runs. The returned
-    dict is JSON-ready and round-trips through ``json`` unchanged.
+    Requests are checked before any work: an unknown spec name or theorem
+    id raises ``ValueError``, and exact solving runs before girth and
+    spectra, so an order above ``limits.max_n`` raises the solver's
+    :class:`ResourceLimitError` at once. ``bounds_only`` skips exact
+    solving at every order. The returned dict is JSON-ready and round-trips
+    through ``json`` unchanged.
 
     Every applicable bound with an exact target is certified: a bound above
     its exact value raises :class:`SoundnessViolation`, whose message names
-    ``label`` and the row and which carries the graph as an edge list and
-    as graph6.
+    ``label`` and the row and which carries the graph as an edge list (in
+    ``labels`` when given) and as graph6.
     """
     limits = limits or SearchLimits()
     spec_names = tuple(specs) if specs is not None else DEFAULT_SPECS
     for name in spec_names:
         if name not in VARIANTS:
             raise ValueError(f"unknown alliance spec {name!r}; valid names: {', '.join(VARIANTS)}")
+    bounds_mod.select_theorems(theorems)
 
+    exact = {} if bounds_only else {name: _solve_exact(g, name, limits) for name in spec_names}
     stats = degree_stats(g)
     girth_value = girth(g)
     try:
@@ -121,15 +125,7 @@ def analyze(
     except UndefinedQuantityError:
         summary = None
 
-    exact: dict[str, dict] = {}
-    if not bounds_only:
-        if g.n > limits.max_n:
-            note = f"skipped: order {g.n} exceeds solver ceiling {limits.max_n}"
-            exact = {name: {"skipped": note} for name in spec_names}
-        else:
-            exact = {name: _solve_exact(g, name, limits) for name in spec_names}
-
-    exact_by_target = {name: entry["value"] for name, entry in exact.items() if "value" in entry}
+    exact_by_target = {name: entry["value"] for name, entry in exact.items()}
     if not math.isinf(girth_value):
         exact_by_target["girth"] = int(girth_value)
 
@@ -156,7 +152,7 @@ def analyze(
             if entry["gap"] < 0:
                 raise SoundnessViolation(
                     f"bound exceeded exact value on {label}: {entry}",
-                    edgelist=write_edgelist(g),
+                    edgelist=write_edgelist(g, labels),
                     graph6=write_graph6(g),
                 )
         bound_rows.append(entry)
@@ -196,31 +192,27 @@ def analyze(
 def survey_rows(
     spec: GraphFamilySpec,
     count: int,
-    seed: int = 0,
+    seed: int | None = None,
     *,
     limits: SearchLimits | None = None,
 ) -> Iterator[dict]:
     """Yield one soundness/tightness row per sampled graph.
 
-    Sample ``i`` uses family seed ``seed + i`` in place of ``spec.seed``
-    (ignored by deterministic families). The check needs exact values, so a
-    sample above ``limits.max_n`` raises :class:`ResourceLimitError`.
-    ``analyze`` certifies each sample and raises :class:`SoundnessViolation`
-    the moment an applicable bound exceeds its exact target; the message
-    names the sample's family spec with its seed, which
-    ``alliance analyze <spec> --all`` replays. A row's ``violations`` is
-    therefore always 0.
+    Sample ``i`` uses family seed ``seed + i``, where ``seed`` defaults to
+    ``spec.seed`` (deterministic families ignore it). The check needs exact
+    values, so a sample above ``limits.max_n`` raises the solver's
+    :class:`ResourceLimitError`. ``analyze`` certifies each sample and
+    raises :class:`SoundnessViolation` the moment an applicable bound
+    exceeds its exact target; the message names the sample's family spec
+    with its seed, which ``alliance analyze <spec> --all`` replays. A row's
+    ``violations`` is therefore always 0.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    limits = limits or SearchLimits()
+    start = spec.seed if seed is None else seed
     for index in range(count):
-        sample = replace(spec, seed=seed + index)
+        sample = replace(spec, seed=start + index)
         g = build(sample)
-        if g.n > limits.max_n:
-            raise ResourceLimitError(
-                f"survey needs exact values but sample order {g.n} exceeds the solver ceiling {limits.max_n}"
-            )
         report = analyze(g, label=str(sample), limits=limits, deterministic=True)
         yield {
             "index": index,

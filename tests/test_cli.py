@@ -216,11 +216,43 @@ class TestAnalyze:
         assert not by_id[("def-mu", "defensive")]["applicable"]
         assert by_id[("globdef-degree", "global_defensive")]["value"] == 1
 
-    def test_ceiling_skips_exact_solving(self, capsys):
-        code, out, _ = run(capsys, "analyze", "complete:6", "--max-n", "4", "--deterministic")
+    def test_order_above_ceiling_exits_3(self, capsys):
+        # Refused by the solver before girth and spectra, which take over a
+        # minute at this order.
+        code, out, err = run(capsys, "analyze", "path:600")
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "order 600 exceeds the solver ceiling 24" in err
+        assert "--max-n" in err and "--bounds-only" in err
+
+    def test_bounds_only_runs_above_the_solver_ceiling(self, capsys):
+        code, out, _ = run(capsys, "analyze", "complete:6", "--max-n", "4", "--bounds-only", "--deterministic")
+        assert code == 0
+        assert json.loads(out)["exact"] == {}
+
+    @pytest.mark.parametrize(
+        ("argv", "field"),
+        [
+            (["--theorems", ""], "bounds"),
+            (["--theorems", ","], "bounds"),
+            (["--specs", ""], "exact"),
+            (["--specs", " , "], "exact"),
+        ],
+        ids=("empty-theorems", "comma-theorems", "empty-specs", "comma-specs"),
+    )
+    def test_given_empty_list_selects_nothing(self, capsys, argv, field):
+        code, out, _ = run(capsys, "analyze", "petersen", *argv, "--deterministic")
         assert code == 0
         report = json.loads(out)
-        assert all("skipped" in entry for entry in report["exact"].values())
+        assert not report[field]
+        assert report["bounds" if field == "exact" else "exact"]  # the other list keeps its default
+
+    def test_all_and_specs_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["analyze", "petersen", "--all", "--specs", "def"])
+        assert exc_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -306,6 +338,14 @@ class TestAnalyze:
         assert parse_edgelist(edgelist)[0] == generators.complete(5)
 
 
+    def test_violation_names_the_input_labels(self, capsys, monkeypatch, planted_violation):
+        monkeypatch.setattr("sys.stdin", io.StringIO("a b\nb c\nc a\n"))
+        code, out, err = run(capsys, "analyze", "-")
+        assert code == 4
+        assert out == ""
+        assert err.split("offending graph (edgelist):\n", 1)[1] == "a b\na c\nb c\n"
+
+
 class TestSurvey:
     def test_complete_family_is_tight_for_def_mu(self, capsys):
         code, out, _ = run(capsys, "survey", "complete:7:seed=1", "--count", "3")
@@ -362,9 +402,13 @@ class TestSurvey:
         assert out.splitlines()[0] == "theorem,target,applicable,violations,tight,mean_gap,max_gap"
 
     def test_resource_limit_exits_3(self, capsys):
-        code, _, err = run(capsys, "survey", "gnp:30:0.2", "--count", "1")
+        # The solver's own refusal, word for word as analyze prints it.
+        code, out, err = run(capsys, "survey", "gnp:30:0.5", "--count", "1")
         assert code == 3
+        assert out == ""
         assert "resource limit" in err
+        assert err == run(capsys, "analyze", "gnp:30:0.5")[2]
+        assert len(err.splitlines()) == 1 and "--max-n" in err and "--bounds-only" in err
 
     def test_violation_exits_4_with_edgelist(self, capsys, planted_violation):
         code, _, err = run(capsys, "survey", "complete:5", "--count", "2")
