@@ -184,7 +184,6 @@ class _Tables(NamedTuple):
     need_touched: list[int]  # ... a non-member with a member neighbor
     need_out: list[int]  # ... a non-member without one
     per_member: int  # Δ + T, the most one new member lowers the deficit
-    later: list[int]  # neighbors above v: v's undecided neighbors once v is decided
     earlier: list[tuple[int, ...]]  # neighbors below v: decided when v is
 
 
@@ -208,12 +207,8 @@ def _tables(g: Graph, cond: _Conditions) -> _Tables:
         need_touched=need_touched,
         need_out=need_out,
         per_member=max(degree) + max(need_touched),
-        later=[(masks[v] >> v + 1).bit_count() for v in range(n)],
         earlier=[tuple(w for w in adjacency[v] if w < v) for v in range(n)],
     )
-
-
-_UNDECIDED, _IN, _OUT = 0, 1, 2
 
 
 def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | None) -> int | None:
@@ -224,25 +219,26 @@ def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | 
     vertex's thresholds are turned into in-neighbor counts once per variant
     (``_tables``): ``need_in`` as a member, ``need_touched`` as a non-member
     with a member neighbor and ``need_out`` as one without. A vertex's
-    *need* is the one of these that fits its status, less its in-count; an
-    undecided vertex counts as a non-member. The decided prefix
-    ``status[:u]`` is the search stack, so the depth (the graph order) is
-    not bounded by the recursion limit.
+    *need* is the one of these that fits its membership, less its
+    in-count; an undecided vertex counts as a non-member. The search stack
+    is the decided prefix ``v < u`` together with ``member``, the one
+    record of which vertices joined, so the depth (the graph order) is not
+    bounded by the recursion limit.
 
     A decided vertex passes its check when its *potential*, ``in`` plus its
     undecided neighbors, reaches its current need. Invariant: at every node
-    the search stands on, every decided vertex passes. Once u is decided, a
-    vertex w's undecided neighbors are those above u, ``(masks[w] >> u +
-    1).bit_count()``, and u's own are ``later[u]``; its decided neighbors
-    are ``earlier[u]``.
+    the search stands on, every decided vertex passes. Once u is decided,
+    the undecided neighbors of u and of any other vertex w are those above
+    u, ``(masks[w] >> u + 1).bit_count()``; u's decided neighbors are
+    ``earlier[u]``.
 
     An out decision changes no in-count, no need and not r, the number of
-    members still to place; it lowers the potential of u and of each of
-    ``earlier[u]`` by one, so it checks just those, and retracting it is
-    ``status[u] = _UNDECIDED``. A join and its retraction only add or
-    subtract one in-count per neighbor; ``bounds_ok`` then runs one pass
-    over all vertices, at the root and after every join, and fails at the
-    first of three tests:
+    members still to place, and writes nothing: it lowers the potential of
+    u and of each of ``earlier[u]`` by one, so it checks just those, and
+    taking it back is only ``u -= 1``. A join sets ``member[u]`` and adds
+    one in-count per neighbor, and ``leave`` undoes both; ``bounds_ok``
+    runs one pass over all vertices, at the root and after every join, and
+    fails at the first of three tests:
 
     * the potential check of every decided vertex. A join moves no decided
       neighbor's potential (one more member neighbor, one fewer undecided),
@@ -266,8 +262,8 @@ def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | 
     The bounds only discard subtrees with no satisfying k-set, so the first
     hit and the witness are unchanged; only the node count drops.
     """
-    n, adjacency, masks, need_in, need_touched, need_out, per_member, later, earlier = t
-    status = [_UNDECIDED] * n
+    n, adjacency, masks, need_in, need_touched, need_out, per_member, earlier = t
+    member = [False] * n
     in_count = [0] * n
     full = (1 << n) - 1
 
@@ -280,7 +276,7 @@ def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | 
         packed = 0
         for v in range(first):
             c = in_count[v]
-            if status[v] == _IN:
+            if member[v]:
                 need = need_in[v] - c
             else:
                 need = (need_touched[v] if c else need_out[v]) - c
@@ -309,23 +305,19 @@ def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | 
                         return False
         return True
 
-    def retract(v: int) -> bool:
-        joined = status[v] == _IN
-        status[v] = _UNDECIDED
-        if joined:
-            for w in adjacency[v]:
-                in_count[w] -= 1
-        return joined
+    def leave(v: int) -> None:
+        member[v] = False
+        for w in adjacency[v]:
+            in_count[w] -= 1
 
     if not bounds_ok(0, k):
         return None
     chosen = 0
-    smask = 0
     u = 0
     joins = True  # the branch to try next at vertex u
     while True:
         if u == n:
-            return smask
+            return sum(1 << v for v in range(n) if member[v])
         if (chosen < k) if joins else (chosen + n - u - 1 >= k):
             counter["nodes"] += 1
             if max_nodes is not None and counter["nodes"] > max_nodes:
@@ -337,23 +329,22 @@ def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | 
                 )
             shift = u + 1
             if joins:
-                status[u] = _IN
+                member[u] = True
                 for w in adjacency[u]:
                     in_count[w] += 1
                 if bounds_ok(shift, k - chosen - 1):
                     chosen += 1
-                    smask |= 1 << u
                     u = shift
                     continue
-                retract(u)
+                leave(u)
             else:
                 # Only u and its decided neighbors lose potential.
                 c = in_count[u]
-                ok = c + later[u] >= (need_touched[u] if c else need_out[u])
+                ok = c + (masks[u] >> shift).bit_count() >= (need_touched[u] if c else need_out[u])
                 if ok:
                     for w in earlier[u]:
                         c = in_count[w]
-                        if status[w] == _IN:
+                        if member[w]:
                             need = need_in[w]
                         else:
                             need = need_touched[w] if c else need_out[w]
@@ -361,7 +352,6 @@ def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | 
                             ok = False
                             break
                 if ok:
-                    status[u] = _OUT
                     u = shift
                     joins = True
                     continue
@@ -374,9 +364,9 @@ def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | 
             u -= 1
             if u < 0:
                 return None
-            if retract(u):
+            if member[u]:
+                leave(u)
                 chosen -= 1
-                smask ^= 1 << u
                 joins = False
                 break
 

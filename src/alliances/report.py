@@ -111,7 +111,8 @@ def analyze(
     ``labels`` when given) and as graph6.
     """
     limits = limits or SearchLimits()
-    spec_names = tuple(specs) if specs is not None else DEFAULT_SPECS
+    # A repeated name is solved once, in the place it first appears.
+    spec_names = tuple(dict.fromkeys(specs)) if specs is not None else DEFAULT_SPECS
     for name in spec_names:
         if name not in VARIANTS:
             raise ValueError(f"unknown alliance spec {name!r}; valid names: {', '.join(VARIANTS)}")

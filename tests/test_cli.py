@@ -99,6 +99,20 @@ class TestAnalyze:
         assert report["exact"]["strong_defensive"]["value"] == 4
         assert report["exact"]["defensive"]["witness"] == [0, 1, 2]
 
+    def test_repeated_spec_prints_and_solves_as_one(self, capsys, monkeypatch):
+        calls = []
+        solve = alliances.report.min_alliance_number
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].name)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(alliances.report, "min_alliance_number", counted)
+        _, once, _ = run(capsys, "analyze", "petersen", "--specs", "def", "--deterministic")
+        _, twice, _ = run(capsys, "analyze", "petersen", "--specs", "def,defensive", "--deterministic")
+        assert twice == once
+        assert calls == ["defensive", "defensive"]  # one search per run
+
     def test_bounds_only(self, capsys):
         code, out, _ = run(capsys, "analyze", "gnp:9:0.4:seed=1", "--bounds-only", "--deterministic")
         assert code == 0

@@ -24,6 +24,20 @@ def test_unknown_theorem_is_refused_before_any_work(monkeypatch, bounds_only):
         report.analyze(generators.petersen(), theorems=["bogus"], bounds_only=bounds_only)
 
 
+def test_repeated_spec_is_solved_once(monkeypatch):
+    calls = []
+    solve = report.min_alliance_number
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].name)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(report, "min_alliance_number", counted)
+    result = report.analyze(generators.petersen(), specs=["defensive", "defensive"], deterministic=True)
+    assert calls == ["defensive"]
+    assert list(result["exact"]) == ["defensive"]
+
+
 def test_survey_starts_at_the_spec_seed():
     spec = parse_family("gnp:8:0.5:seed=7")
     assert [row["seed"] for row in report.survey_rows(spec, 3)] == [7, 8, 9]
