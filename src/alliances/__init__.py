@@ -14,17 +14,7 @@ from .alliance_solver import (
 )
 from .bounds import BoundResult, THEOREM_IDS, evaluate_all, safe_ceil
 from .generators import GraphFamilySpec, build
-from .graph_core import (
-    DegreeStats,
-    Graph,
-    VertexSet,
-    boundary,
-    degree_stats,
-    girth,
-    is_connected,
-    neighbors_in,
-    neighbors_out,
-)
+from .graph_core import DegreeStats, Graph, VertexSet, degree_stats, girth, is_connected
 from .io_formats import ParseError, parse_graph, write_edgelist, write_graph6
 from .report import SoundnessViolation, analyze, summarize_survey, survey_rows
 from .spectral import (

@@ -17,7 +17,7 @@ definitions do not ask for it.
 
 Each variant is one row of ``VARIANTS``: its name and these thresholds,
 with domination as a last row of the same form. An ``AllianceSpec`` is
-just the name of an alliance row; ``SPEC_NAMES``, its validation, the
+just the name of a row, domination included; its validation, the
 predicates and the search all read that table.
 
 The exact search decides vertices in index order and, besides the
@@ -48,7 +48,6 @@ __all__ = [
     "ResourceLimitError",
     "SearchBudgetExceeded",
     "VARIANTS",
-    "SPEC_NAMES",
     "spec_from_name",
     "is_alliance",
     "is_dominating_set",
@@ -70,7 +69,8 @@ class _Conditions:
 # Every variant the solver knows, in the order ``analyze --all`` reports
 # them. A global offensive (or dual) outsider needs 2*in >= deg+1, which
 # already forces a member neighbor, so only the global defensive rows set
-# ``dominate``. Domination is not an alliance and comes last.
+# ``dominate``. Domination is not an alliance, but a row of the same form,
+# and comes last.
 VARIANTS: dict[str, _Conditions] = {
     "defensive": _Conditions(-1, None, False, False),
     "strong_defensive": _Conditions(0, None, False, False),
@@ -85,18 +85,16 @@ VARIANTS: dict[str, _Conditions] = {
     "domination": _Conditions(None, None, False, True),
 }
 
-SPEC_NAMES: tuple[str, ...] = tuple(name for name in VARIANTS if name != "domination")
-
 
 @dataclass(frozen=True)
 class AllianceSpec:
-    """One alliance variant, named by its row of ``VARIANTS``."""
+    """One variant, named by its row of ``VARIANTS`` (domination included)."""
 
     name: str
 
     def __post_init__(self) -> None:
-        if self.name not in SPEC_NAMES:
-            raise ValueError(f"unknown alliance spec {self.name!r}; valid names: {', '.join(SPEC_NAMES)}")
+        if self.name not in VARIANTS:
+            raise ValueError(f"unknown alliance spec {self.name!r}; valid names: {', '.join(VARIANTS)}")
 
 
 def spec_from_name(name: str) -> AllianceSpec:
@@ -161,16 +159,14 @@ def is_alliance(g: Graph, s: VertexSet, spec: AllianceSpec) -> bool:
     """Evaluate the exact conjunction of per-vertex conditions for ``spec``."""
     _check_set(g, s)
     if s.size == 0:
-        raise ValueError("alliances are nonempty by definition")
+        raise ValueError(f"{spec.name} sets are nonempty by definition")
     return _satisfies(g, s.mask, VARIANTS[spec.name])
 
 
 def is_dominating_set(g: Graph, s: VertexSet) -> bool:
-    """True iff every vertex outside ``s`` has a neighbor inside ``s``."""
-    _check_set(g, s)
-    if s.size == 0:
-        raise ValueError("dominating sets are nonempty by definition")
-    return _satisfies(g, s.mask, VARIANTS["domination"])
+    """True iff every vertex outside ``s`` has a neighbor inside ``s``:
+    ``is_alliance`` on the domination row."""
+    return is_alliance(g, s, AllianceSpec("domination"))
 
 
 class _Tables(NamedTuple):
@@ -371,17 +367,21 @@ def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | 
                 break
 
 
-def _minimize(g: Graph, cond: _Conditions, limits: SearchLimits | None) -> AllianceResult:
-    """Search k = 1, 2, ... once each, over one set of tables. The first
-    hit is the minimum, and its witness is already canonical because
-    vertices are decided in index order."""
+def min_alliance_number(g: Graph, spec: AllianceSpec, limits: SearchLimits | None = None) -> AllianceResult:
+    """Exact minimum cardinality of a set of the given variant.
+
+    Searches cardinalities 1, 2, ... once each, over one set of tables, so
+    the first satisfiable size is the minimum. Vertices are decided in
+    index order, so the witness is the lexicographically smallest minimum
+    set. Always terminates: the full vertex set qualifies.
+    """
     limits = limits or SearchLimits()
     if g.n > limits.max_n:
         raise ResourceLimitError(
             f"order {g.n} exceeds the solver ceiling {limits.max_n}; raise max_n (--max-n) to search anyway,"
             " or evaluate the bounds alone (analyze --bounds-only)"
         )
-    tables = _tables(g, cond)
+    tables = _tables(g, VARIANTS[spec.name])
     counter = {"nodes": 0}
     for k in range(1, g.n + 1):
         mask = _search_exact(tables, k, counter, limits.max_nodes)
@@ -394,17 +394,7 @@ def _minimize(g: Graph, cond: _Conditions, limits: SearchLimits | None) -> Allia
     raise AssertionError("unreachable: the full vertex set satisfies every variant")
 
 
-def min_alliance_number(g: Graph, spec: AllianceSpec, limits: SearchLimits | None = None) -> AllianceResult:
-    """Exact minimum cardinality of an alliance of the given variant.
-
-    Searches cardinalities 1, 2, ... in turn, so the first satisfiable size
-    is the minimum. Each size is searched once, deciding vertices in index
-    order, so the witness is the lexicographically smallest minimum set.
-    Always terminates: the full vertex set qualifies.
-    """
-    return _minimize(g, VARIANTS[spec.name], limits)
-
-
 def domination_number(g: Graph, limits: SearchLimits | None = None) -> AllianceResult:
-    """Exact minimum cardinality of a dominating set."""
-    return _minimize(g, VARIANTS["domination"], limits)
+    """Exact minimum cardinality of a dominating set: ``min_alliance_number``
+    on the domination row."""
+    return min_alliance_number(g, AllianceSpec("domination"), limits)

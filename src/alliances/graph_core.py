@@ -1,4 +1,4 @@
-"""Immutable simple graphs and the subset/neighbor primitives everything else builds on."""
+"""Immutable simple graphs and vertex subsets, and the graph facts (girth, connectivity, degrees) built on them."""
 
 from __future__ import annotations
 
@@ -10,9 +10,6 @@ __all__ = [
     "Graph",
     "VertexSet",
     "DegreeStats",
-    "neighbors_in",
-    "neighbors_out",
-    "boundary",
     "girth",
     "is_connected",
     "degree_stats",
@@ -143,39 +140,9 @@ class DegreeStats(NamedTuple):
     regular: int | None  # the common degree when the graph is regular
 
 
-def _check_vertex(g: Graph, v: int) -> None:
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-
-
 def _check_set(g: Graph, s: VertexSet) -> None:
     if s.mask >> g.n:
         raise ValueError(f"vertex set {s!r} contains indices >= n={g.n}")
-
-
-def neighbors_in(g: Graph, v: int, s: VertexSet) -> int:
-    """Number of neighbors of ``v`` that lie inside ``s`` (``v`` itself never counts)."""
-    _check_vertex(g, v)
-    _check_set(g, s)
-    return (g.masks[v] & s.mask).bit_count()
-
-
-def neighbors_out(g: Graph, v: int, s: VertexSet) -> int:
-    """Number of neighbors of ``v`` that lie outside ``s``."""
-    _check_vertex(g, v)
-    _check_set(g, s)
-    return (g.masks[v] & ~s.mask).bit_count()
-
-
-def boundary(g: Graph, s: VertexSet) -> VertexSet:
-    """Vertices outside ``s`` with at least one neighbor inside ``s``."""
-    _check_set(g, s)
-    if s.size == 0:
-        raise ValueError("boundary of the empty set is undefined")
-    reach = 0
-    for v in s:
-        reach |= g.masks[v]
-    return VertexSet.from_mask(reach & ~s.mask)
 
 
 def girth(g: Graph) -> int | float:

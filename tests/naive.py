@@ -13,9 +13,20 @@ def _neighbors(g, v):
     return set(g.adjacency[v])
 
 
+# kind -> the flag prefixes its names take
+_KINDS = {
+    "defensive": ((), ("strong",), ("global",), ("global", "strong")),
+    "offensive": ((), ("strong",), ("global",), ("global", "strong")),
+    "dual": (("global",), ("global", "strong")),
+    "domination": ((),),
+}
+
+
 def _flags(name: str) -> tuple[str, bool, bool]:
     """Split a variant name such as ``global_strong_dual`` into (kind, strong, global)."""
     *flags, kind = name.split("_")
+    if tuple(flags) not in _KINDS.get(kind, ()):
+        raise ValueError(f"unknown variant {name!r}")
     return kind, "strong" in flags, "global" in flags
 
 
@@ -23,6 +34,8 @@ def naive_satisfies(g, members: set, name: str) -> bool:
     kind, strong, global_ = _flags(name)
     everyone = set(range(g.n))
     outside = everyone - members
+    if kind == "domination":
+        return all(_neighbors(g, v) & members for v in outside)
     if kind in ("defensive", "dual"):
         for v in members:
             inside = len(_neighbors(g, v) & members)
@@ -47,10 +60,6 @@ def naive_satisfies(g, members: set, name: str) -> bool:
     return True
 
 
-def naive_dominates(g, members: set) -> bool:
-    return all(_neighbors(g, v) & members for v in set(range(g.n)) - members)
-
-
 def naive_minimum(g, name: str) -> int:
     return naive_minimum_witness(g, name)[0]
 
@@ -63,15 +72,3 @@ def naive_minimum_witness(g, name: str) -> tuple[int, tuple[int, ...]]:
                 return k, subset
     raise AssertionError("the full vertex set always qualifies")
 
-
-def naive_domination(g) -> int:
-    return naive_domination_witness(g)[0]
-
-
-def naive_domination_witness(g) -> tuple[int, tuple[int, ...]]:
-    """Domination number plus the first dominating set in combinations order."""
-    for k in range(1, g.n + 1):
-        for subset in combinations(range(g.n), k):
-            if naive_dominates(g, set(subset)):
-                return k, subset
-    raise AssertionError("the full vertex set always dominates")

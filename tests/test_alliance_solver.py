@@ -13,7 +13,6 @@ from alliances.alliance_solver import (
     ResourceLimitError,
     SearchBudgetExceeded,
     SearchLimits,
-    SPEC_NAMES,
     VARIANTS,
     domination_number,
     is_alliance,
@@ -25,7 +24,7 @@ from alliances.alliance_solver import (
 )
 from alliances.graph_core import Graph, VertexSet, degree_stats, girth
 
-from naive import naive_domination, naive_domination_witness, naive_minimum, naive_minimum_witness
+from naive import naive_minimum, naive_minimum_witness
 from strategies import graph_and_proper_subset, graphs
 
 DEFENSIVE = spec_from_name("defensive")
@@ -39,7 +38,7 @@ GLOBAL_STRONG_DUAL = spec_from_name("global_strong_dual")
 
 class TestAllianceSpec:
     def test_names_round_trip(self):
-        for name in SPEC_NAMES:
+        for name in VARIANTS:
             assert spec_from_name(name).name == name
 
     def test_dual_requires_global(self):
@@ -55,8 +54,11 @@ class TestAllianceSpec:
             spec_from_name("defensive-ish")
 
     def test_domination_is_not_an_alliance(self):
-        with pytest.raises(ValueError):
-            AllianceSpec("domination")
+        # It is a row of the same table, though, and so a spec like the
+        # others: the centre of a star dominates it without defending itself.
+        star = generators.complete_bipartite(1, 8)
+        assert is_alliance(star, VertexSet([0]), AllianceSpec("domination"))
+        assert not is_alliance(star, VertexSet([0]), DEFENSIVE)
 
     def test_name_is_the_only_field(self):
         assert [field.name for field in dataclasses.fields(AllianceSpec)] == ["name"]
@@ -89,12 +91,15 @@ class TestPredicates:
         with pytest.raises(ValueError):
             is_dominating_set(generators.complete(3), VertexSet())
 
+    def test_set_beyond_the_order_rejected(self):
+        with pytest.raises(ValueError, match="contains indices >= n=3"):
+            is_alliance(generators.complete(3), VertexSet([0, 7]), DEFENSIVE)
+
     def test_full_set_satisfies_everything(self, corpus):
         for g in corpus.values():
             full = VertexSet(range(g.n))
-            for name in SPEC_NAMES:
+            for name in VARIANTS:
                 assert is_alliance(g, full, spec_from_name(name))
-            assert is_dominating_set(g, full)
 
     def test_component_is_offensive_with_empty_boundary(self):
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
@@ -200,12 +205,10 @@ class TestWitnesses:
         irregular = [g for g in candidates if degree_stats(g).regular is None]
         assert len(irregular) >= 25
         for g in irregular:
-            for name in SPEC_NAMES:
+            for name in VARIANTS:
                 value, witness = naive_minimum_witness(g, name)
                 result = min_alliance_number(g, spec_from_name(name))
                 assert (result.value, tuple(result.witness)) == (value, witness), (g.n, g.m, name)
-            result = domination_number(g)
-            assert (result.value, tuple(result.witness)) == naive_domination_witness(g), (g.n, g.m)
 
 
 class TestOracleEquivalence:
@@ -214,10 +217,16 @@ class TestOracleEquivalence:
         for trial in range(20):
             n = rng.randint(2, 8)
             g = generators.gnp(n, rng.uniform(0.15, 0.9), seed=1000 + trial)
-            for name in SPEC_NAMES:
+            for name in VARIANTS:
                 expected = naive_minimum(g, name)
                 assert min_alliance_number(g, spec_from_name(name)).value == expected, (trial, name)
-            assert domination_number(g).value == naive_domination(g)
+
+    def test_naive_oracle_knows_domination_and_refuses_unknown_names(self):
+        assert naive_minimum(generators.cycle(6), "domination") == 2
+        assert naive_minimum(generators.petersen(), "domination") == 3
+        for name in ("bogus", "defensive-ish", "globl_defensive", "dual", "strong_domination"):
+            with pytest.raises(ValueError, match="unknown variant"):
+                naive_minimum(generators.cycle(6), name)
 
 
 class TestValueMonotonicity:
@@ -235,9 +244,10 @@ class TestValueMonotonicity:
                 "global_strong_offensive",
                 "global_dual",
                 "global_strong_dual",
+                "domination",
             )
         }
-        gamma = domination_number(g).value
+        gamma = values["domination"]
         assert values["defensive"] <= values["strong_defensive"]
         assert values["global_defensive"] <= values["global_strong_defensive"]
         assert values["global_offensive"] <= values["global_strong_offensive"]
@@ -296,9 +306,8 @@ class TestSearchTree:
         }
         totals = dict.fromkeys(expected, 0)
         for g in corpus.values():
-            for name in SPEC_NAMES:
+            for name in VARIANTS:
                 totals[name] += min_alliance_number(g, spec_from_name(name)).nodes_explored
-            totals["domination"] += domination_number(g).nodes_explored
         assert totals == expected
 
     @pytest.mark.parametrize(
@@ -471,8 +480,7 @@ class TestSearchTree:
         # The graphs the benchmark times (n = 14-24), which the small named
         # corpus does not reach: the tree walked there must not change.
         g = build(spec)
-        nodes = {name: min_alliance_number(g, spec_from_name(name)).nodes_explored for name in SPEC_NAMES}
-        nodes["domination"] = domination_number(g).nodes_explored
+        nodes = {name: min_alliance_number(g, spec_from_name(name)).nodes_explored for name in VARIANTS}
         assert nodes == expected
 
     @pytest.mark.parametrize(

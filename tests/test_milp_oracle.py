@@ -6,14 +6,7 @@ import pytest
 pytest.importorskip("scipy")
 
 from alliances import generators
-from alliances.alliance_solver import (
-    SearchLimits,
-    domination_number,
-    is_alliance,
-    is_dominating_set,
-    min_alliance_number,
-    spec_from_name,
-)
+from alliances.alliance_solver import SearchLimits, is_alliance, min_alliance_number, spec_from_name
 from alliances.graph_core import VertexSet
 
 from milp_oracle import ORACLE_SPECS, milp_minimum
@@ -40,14 +33,9 @@ def test_solver_matches_milp(label):
     assert 14 <= g.n <= 28
     for name in ORACLE_SPECS:
         value, members = milp_minimum(g, name)
-        if name == "domination":
-            result = domination_number(g, LIMITS)
-            assert is_dominating_set(g, VertexSet(members))
-            assert is_dominating_set(g, result.witness)
-        else:
-            spec = spec_from_name(name)
-            result = min_alliance_number(g, spec, LIMITS)
-            assert is_alliance(g, VertexSet(members), spec)
-            assert is_alliance(g, result.witness, spec)
+        spec = spec_from_name(name)
+        result = min_alliance_number(g, spec, LIMITS)
+        assert is_alliance(g, VertexSet(members), spec)
+        assert is_alliance(g, result.witness, spec)
         assert result.value == result.witness.size
         assert result.value == value, (label, name)

@@ -11,7 +11,7 @@ from alliances.graph_core import MAX_ORDER, Graph, girth
 from alliances.io_formats import ParseError, parse_graph6, write_graph6
 
 from corpus import named_graphs
-from naive import naive_domination_witness, naive_minimum_witness
+from naive import naive_minimum_witness
 
 nx = pytest.importorskip("networkx")
 
@@ -94,10 +94,7 @@ def test_every_graph_of_order_one_to_six_matches_the_naive_oracle():
         g = Graph(h.number_of_nodes(), h.edges())
         exact = report.analyze(g, specs=tuple(VARIANTS), deterministic=True)["exact"]
         for name, entry in exact.items():
-            if name == "domination":
-                expected = naive_domination_witness(g)
-            else:
-                expected = naive_minimum_witness(g, name)
+            expected = naive_minimum_witness(g, name)
             assert (entry["value"], tuple(entry["witness"])) == expected, (nx.to_graph6_bytes(h), name)
             sums[name] += entry["nodes_explored"]
     assert len(atlas) == 208

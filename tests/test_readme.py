@@ -1,4 +1,5 @@
-"""README's name lists match the tables the program reads them from."""
+"""README's name lists match the tables the program reads them from, and
+its library example prints what its comment says."""
 
 import re
 from pathlib import Path
@@ -29,3 +30,11 @@ def test_grammar_block_names_every_family():
     assert grammar == "name[:p1[:p2]][:seed=S]"
     names = [item.split(":")[0] for line in families for item in line.split()]
     assert names == list(generators.FAMILIES)
+
+
+def test_library_example_prints_what_it_says(capsys):
+    code = _between("## Library example\n\n```python\n", "```")
+    expected = [line.split("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    assert expected
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import pytest
 
 from alliances import generators, report
@@ -42,3 +45,18 @@ def test_survey_starts_at_the_spec_seed():
     spec = parse_family("gnp:8:0.5:seed=7")
     assert [row["seed"] for row in report.survey_rows(spec, 3)] == [7, 8, 9]
     assert [row["seed"] for row in report.survey_rows(spec, 2, 0)] == [0, 1]  # an explicit seed wins
+
+
+def test_benchmark_imports_and_patches_resolve(monkeypatch):
+    # perfbench imports and patches names of the program; a change that
+    # drops one fails here, and not only in perfbench's own runs.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    bench_trace = importlib.import_module("bench_trace")
+    bench_checks = importlib.import_module("bench_checks")
+    tracer = bench_trace.Tracer()
+    g = generators.petersen()
+    with bench_trace.install(tracer):
+        output = report.analyze(g)
+    searched = [span.attrs["variant"] for span in tracer.spans if span.name == "alliance_solver.search"]
+    assert searched == list(bench_trace.VARIANTS)
+    assert bench_checks.check_report(g, output, report.report_to_json(output)) == []
