@@ -1,6 +1,7 @@
 """Cross-checks against networkx, an implementation that shares no code
 with this package: girth and the graph6 encoding, order fields included,
-and every graph of order 1-6 in its atlas through ``analyze``.
+and every graph of order 1-6 in its atlas through ``analyze``, with the
+bounds' tightness census over those graphs pinned.
 Test-only; skipped where networkx is not installed."""
 
 import pytest
@@ -83,6 +84,30 @@ ATLAS_NODE_SUMS = {
     "domination": 1579,
 }
 
+# The tightness census over the same 208 graphs: per (theorem, target), the
+# applicable rows, the tight ones (gap 0) and the sum of the bound values.
+# The 130 degenerate rows (def-mu on a disconnected graph) are left out.
+ATLAS_CENSUS = {
+    ("def-mu", "defensive"): (142, 112, 211),
+    ("def-mu", "strong_defensive"): (142, 81, 332),
+    ("strongdef-mu-delta", "strong_defensive"): (142, 16, 76),
+    ("globdef-lambda", "global_defensive"): (207, 32, 388),
+    ("globdef-lambda", "global_strong_defensive"): (207, 9, 438),
+    ("globdef-degree", "global_defensive"): (208, 47, 439),
+    ("globdef-degree", "global_strong_defensive"): (208, 40, 526),
+    ("globdef-degree-prior", "global_defensive"): (208, 57, 452),
+    ("girth-regular-mu", "girth"): (6, 6, 19),
+    ("globoff-laplacian", "global_offensive"): (202, 81, 427),
+    ("globoff-laplacian", "global_strong_offensive"): (202, 60, 533),
+    ("globoff-quadratic", "global_offensive"): (208, 61, 396),
+    ("globoff-quadratic", "global_strong_offensive"): (208, 42, 471),
+    ("globdual-lambda", "global_dual"): (207, 4, 392),
+    ("globdual-lambda", "global_strong_dual"): (207, 7, 517),
+    ("globdual-size", "global_dual"): (208, 94, 548),
+    ("globdual-size", "global_strong_dual"): (208, 46, 642),
+    ("dom-laplacian", "domination"): (202, 157, 344),
+}
+
 
 def test_every_graph_of_order_one_to_six_matches_the_naive_oracle():
     # ``analyze`` certifies every theorem on each graph (it raises on a
@@ -90,13 +115,23 @@ def test_every_graph_of_order_one_to_six_matches_the_naive_oracle():
     # lexicographically first minimum that plain enumeration finds.
     atlas = [h for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= 6]
     sums = dict.fromkeys(VARIANTS, 0)
+    census: dict[tuple[str, str], tuple[int, int, int]] = {}
+    degenerate = 0
     for h in atlas:
         g = Graph(h.number_of_nodes(), h.edges())
-        exact = report.analyze(g, specs=tuple(VARIANTS), deterministic=True)["exact"]
-        for name, entry in exact.items():
+        result = report.analyze(g, specs=tuple(VARIANTS), deterministic=True)
+        for name, entry in result["exact"].items():
             expected = naive_minimum_witness(g, name)
             assert (entry["value"], tuple(entry["witness"])) == expected, (nx.to_graph6_bytes(h), name)
             sums[name] += entry["nodes_explored"]
+        for row in result["bounds"]:
+            if row.get("degenerate"):
+                degenerate += 1
+            elif row["applicable"]:
+                applicable, tight, total = census.get((row["theorem"], row["target"]), (0, 0, 0))
+                census[row["theorem"], row["target"]] = (applicable + 1, tight + (row["gap"] == 0), total + row["value"])
     assert len(atlas) == 208
     assert sums == ATLAS_NODE_SUMS
     assert sum(sums.values()) == 44416
+    assert census == ATLAS_CENSUS
+    assert degenerate == 130
