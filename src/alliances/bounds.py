@@ -8,16 +8,18 @@ theorems on n, m and degrees alone take exact integer ceilings
 inputs carry eigensolver error, take the tolerance-aware ``safe_ceil``.
 
 ``evaluate_all`` walks one ordered table, ``_THEOREMS``. An entry names the
-theorem (a stable id used in reports), the targets it bounds, the graph
-quantities its formula reads (in argument order; they are also the row's
-``inputs``), its hypotheses in the order they are checked, each with the
-reason reported when it fails, and whether its value is degenerate on
-disconnected graphs. A theorem whose hypotheses fail yields no number, only
-the first failing reason; ``THEOREM_IDS`` lists the table's ids in order.
+theorem (a stable id used in reports), the targets it bounds, its formula,
+its hypotheses in the order they are checked, each with the reason reported
+when it fails, and whether its value is degenerate on disconnected graphs. A
+formula's parameter names are the graph quantities it reads: each is passed
+by name, and they are the report row's ``inputs``, in the same order. A
+theorem whose hypotheses fail yields no number, only the first failing
+reason; ``THEOREM_IDS`` lists the table's ids in order.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -218,9 +220,12 @@ class _Theorem:
     id: str
     targets: tuple[str, ...]
     formula: Callable[..., int | tuple[int, int]]  # one value per target
-    inputs: tuple[str, ...]
     requires: tuple[_Hypothesis, ...] = ()
     degenerate_if_disconnected: bool = False  # holds, but vacuous when mu ~ 0
+    inputs: tuple[str, ...] = field(init=False)  # the formula's parameter names, read once
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "inputs", tuple(inspect.signature(self.formula).parameters))
 
 
 _DEF = ("defensive", "strong_defensive")
@@ -229,52 +234,17 @@ _GLOBOFF = ("global_offensive", "global_strong_offensive")
 _GLOBDUAL = ("global_dual", "global_strong_dual")
 
 _THEOREMS: tuple[_Theorem, ...] = (
-    # (strong) defensive vs algebraic connectivity
-    _Theorem("def-mu", _DEF, defensive_connectivity, ("n", "algebraic_connectivity"), (_SPECTRUM,), True),
-    # strong defensive vs connectivity and maximum degree
-    _Theorem(
-        "strongdef-mu-delta",
-        ("strong_defensive",),
-        strong_defensive_connectivity_degree,
-        ("n", "algebraic_connectivity", "max_degree"),
-        (_SPECTRUM, _CONNECTED),
-    ),
-    # global (strong) defensive vs spectral radius
-    _Theorem("globdef-lambda", _GLOBDEF, global_defensive_spectral_radius, ("n", "spectral_radius"), (_SPECTRUM,)),
-    # global (strong) defensive vs maximum degree
-    _Theorem("globdef-degree", _GLOBDEF, global_defensive_degree, ("n", "max_degree")),
-    # earlier degree-only global defensive bound
-    _Theorem("globdef-degree-prior", ("global_defensive",), global_defensive_degree_prior, ("n", "max_degree")),
-    # girth of connected 3/4/5-regular graphs vs connectivity
-    _Theorem(
-        "girth-regular-mu",
-        ("girth",),
-        girth_regular_connectivity,
-        ("n", "algebraic_connectivity", "degree"),
-        (_REGULAR, _DEGREE_345, _CONNECTED, _SPECTRUM),
-    ),
-    # global (strong) offensive vs Laplacian spectral radius
-    _Theorem(
-        "globoff-laplacian",
-        _GLOBOFF,
-        global_offensive_laplacian_radius,
-        ("n", "min_degree", "laplacian_radius"),
-        (_SPECTRUM, _HAS_EDGES),
-    ),
-    # global (strong) offensive vs order, size, maximum degree
-    _Theorem("globoff-quadratic", _GLOBOFF, global_offensive_quadratic, ("n", "m", "max_degree")),
-    # global (strong) dual vs spectral radius
-    _Theorem("globdual-lambda", _GLOBDUAL, global_dual_spectral_radius, ("n", "m", "spectral_radius"), (_SPECTRUM,)),
-    # global (strong) dual vs order and size
-    _Theorem("globdual-size", _GLOBDUAL, global_dual_size, ("n", "m")),
-    # domination vs Laplacian spectral radius
-    _Theorem(
-        "dom-laplacian",
-        ("domination",),
-        domination_laplacian_radius,
-        ("n", "laplacian_radius"),
-        (_SPECTRUM, _HAS_EDGES),
-    ),
+    _Theorem("def-mu", _DEF, defensive_connectivity, (_SPECTRUM,), True),
+    _Theorem("strongdef-mu-delta", ("strong_defensive",), strong_defensive_connectivity_degree, (_SPECTRUM, _CONNECTED)),
+    _Theorem("globdef-lambda", _GLOBDEF, global_defensive_spectral_radius, (_SPECTRUM,)),
+    _Theorem("globdef-degree", _GLOBDEF, global_defensive_degree),
+    _Theorem("globdef-degree-prior", ("global_defensive",), global_defensive_degree_prior),
+    _Theorem("girth-regular-mu", ("girth",), girth_regular_connectivity, (_REGULAR, _DEGREE_345, _CONNECTED, _SPECTRUM)),
+    _Theorem("globoff-laplacian", _GLOBOFF, global_offensive_laplacian_radius, (_SPECTRUM, _HAS_EDGES)),
+    _Theorem("globoff-quadratic", _GLOBOFF, global_offensive_quadratic),
+    _Theorem("globdual-lambda", _GLOBDUAL, global_dual_spectral_radius, (_SPECTRUM,)),
+    _Theorem("globdual-size", _GLOBDUAL, global_dual_size),
+    _Theorem("dom-laplacian", ("domination",), domination_laplacian_radius, (_SPECTRUM, _HAS_EDGES)),
 )
 
 THEOREM_IDS: tuple[str, ...] = tuple(theorem.id for theorem in _THEOREMS)
@@ -330,7 +300,7 @@ def evaluate_all(
             )
             continue
         inputs = {name: quantities[name] for name in theorem.inputs}
-        values = theorem.formula(*inputs.values())
+        values = theorem.formula(**inputs)
         if len(theorem.targets) == 1:
             values = (values,)
         degenerate = theorem.degenerate_if_disconnected and not quantities["connected"]

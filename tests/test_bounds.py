@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alliances import generators
+from alliances import bounds, generators
 from alliances.bounds import (
     THEOREM_IDS,
     defensive_connectivity,
@@ -292,6 +292,16 @@ class TestEvaluateAll:
         spectral_free = {"globdef-degree", "globdef-degree-prior", "globoff-quadratic", "globdual-size"}
         for row in rows:
             assert row.applicable == (row.theorem in spectral_free), row
+
+    def test_inputs_are_passed_by_name(self, monkeypatch):
+        # The formula's parameters name the quantities it reads, in any order:
+        # a row taking (m, n) gets each by name, never n where m belongs.
+        planted = bounds._Theorem("globdual-size", ("global_dual",), lambda m, n: 100 * m + n)
+        assert planted.inputs == ("m", "n")
+        monkeypatch.setattr(bounds, "_THEOREMS", (planted,))
+        (row,) = evaluate_all(generators.path(5), None)
+        assert row.value == 405
+        assert list(row.inputs.items()) == [("m", 4), ("n", 5)]
 
     def test_values_never_negative(self, corpus):
         for g in corpus.values():

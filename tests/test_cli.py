@@ -30,7 +30,7 @@ def run(capsys, *argv):
 def planted_violation(monkeypatch):
     """No theorem actually violates, so plant one in the theorem table: a
     domination bound of 2, one above the exact value on complete graphs."""
-    planted = bounds._Theorem("dom-laplacian", ("domination",), lambda n: 2, ("n",))
+    planted = bounds._Theorem("dom-laplacian", ("domination",), lambda n: 2)
     monkeypatch.setattr(bounds, "_THEOREMS", (planted,))
 
 
