@@ -116,13 +116,8 @@ def _graph6_decode(layout: tuple[int, str] | str) -> Graph:
     return Graph(n, edges)
 
 
-def parse_graph6(data: str | bytes) -> Graph:
+def parse_graph6(data: str) -> Graph:
     """Decode one graph6 line (header optional)."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"graph6 input is not ASCII: {exc}") from None
     return _graph6_decode(_graph6_layout(data.strip().removeprefix(GRAPH6_HEADER)))
 
 

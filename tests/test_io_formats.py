@@ -76,9 +76,6 @@ class TestGraph6:
         assert encoded.startswith("~")
         assert parse_graph6(encoded) == g
 
-    def test_bytes_input(self):
-        assert parse_graph6(b"A_") == generators.complete(2)
-
     def test_invalid_byte_offset_reported(self):
         with pytest.raises(ParseError, match="offset 1"):
             parse_graph6("A!")
