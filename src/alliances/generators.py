@@ -59,7 +59,10 @@ def parse_family(text: str) -> GraphFamilySpec:
         if part.startswith("seed="):
             if seed is not None:
                 raise ValueError(f"repeated seed= in {text!r}")
-            seed = int(part[5:])
+            try:
+                seed = int(part[5:])
+            except ValueError:
+                raise ValueError(f"bad seed {part[5:]!r} in {text!r}") from None
             continue
         try:
             params.append(int(part))

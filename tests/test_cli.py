@@ -53,6 +53,14 @@ class TestFamilyGrammar:
         with pytest.raises(ValueError, match="bad family parameter"):
             parse_family("complete:many")
 
+    def test_bad_seed_names_the_token(self, capsys):
+        with pytest.raises(ValueError, match="bad seed 'x' in 'gnp:5:0.5:seed=x'"):
+            parse_family("gnp:5:0.5:seed=x")
+        code, out, err = run(capsys, "survey", "complete:4:seed=", "--count", "1")
+        assert code == 2
+        assert out == ""
+        assert "bad seed '' in 'complete:4:seed='" in err
+
     def test_repeated_seed(self, capsys):
         with pytest.raises(ValueError, match="repeated seed"):
             parse_family("gnp:5:0.5:seed=1:seed=2")
