@@ -9,10 +9,11 @@ empty (``""`` or ``","``) selects nothing, and ``--specs`` and ``--all``
 exclude each other.
 
 Exit codes: 0 success, 1 standard output closed by its reader, 2 parse/usage
-error, 3 resource limit (an order above the solver ceiling, which ``analyze``
-without ``--bounds-only`` and ``survey`` refuse before any other work, or a
-spent node budget), 4 soundness violation (a bound above its exact value,
-found by ``analyze`` or by any graph ``survey`` samples).
+error, 3 resource limit (an order above the solver ceiling ``--max-n``, which
+``analyze`` without ``--bounds-only`` and ``survey`` refuse before any other
+work), 4 soundness violation (a bound above its exact value, found by
+``analyze`` or by any graph ``survey`` samples). No flag sets a node budget:
+``SearchLimits.max_nodes`` is set only from the library.
 """
 
 from __future__ import annotations

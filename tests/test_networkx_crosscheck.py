@@ -4,6 +4,9 @@ and every graph of order 1-6 in its atlas through ``analyze``, with the
 bounds' tightness census over those graphs pinned.
 Test-only; skipped where networkx is not installed."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from alliances import generators, report
@@ -135,3 +138,10 @@ def test_every_graph_of_order_one_to_six_matches_the_naive_oracle():
     assert sum(sums.values()) == 44416
     assert census == ATLAS_CENSUS
     assert degenerate == 130
+
+
+def test_readme_census_table_is_the_pinned_census():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \| (\d+) \| (\d+) \|$", readme, re.MULTILINE)
+    pinned = [(theorem, target, applicable, tight) for (theorem, target), (applicable, tight, _) in ATLAS_CENSUS.items()]
+    assert [(theorem, target, int(applicable), int(tight)) for theorem, target, applicable, tight in table] == pinned
