@@ -32,12 +32,34 @@ their needs add up. For domination this is gamma >= rho (Meir & Moon,
 ``_search_exact`` has the detail. Neither bound discards a satisfying set,
 so values and witnesses are the same as without them. The thresholds are
 built once per graph and variant and shared by every cardinality searched.
+
+Two more prunings use what is already known, and neither changes a value
+or a witness either:
+
+* Implication-order starts. ``IMPLIES`` is derived from the thresholds: X
+  implies Y when each of Y's conditions follows from one of X's, so every
+  X-set is a Y-set and X's minimum is at least Y's. Given the results
+  already found for a graph, ``min_alliance_number`` starts at the largest
+  value among the rows X implies. If such a row's witness W has that value
+  and is an X-set, W is the answer: it is the lexicographically smallest
+  Y-set of its size, every X-set of that size is a Y-set, so none comes
+  before W. Nothing is taken from the paper's theorems, which the survey
+  checks against these values.
+* Orbit exclusion on the spine, the path on which every vertex decided so
+  far is out (orbital branching at the root; Ostrowski, Linderoth, Rossi &
+  Smriglio, *Math. Program.* 126, 2011). The in-branch of the first vertex
+  u is tried first, so once it is spent on the spine no k-set contains u.
+  Automorphisms map k-sets to k-sets, since every condition reads only
+  degrees and adjacency, so no k-set contains any vertex of u's orbit
+  (``Graph.orbits``), and their in-branches are skipped for the rest of
+  that k. The skipped set is a union of orbits in no k-set, so the same
+  holds at each later spine vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .graph_core import Graph, VertexSet, _check_set
 
@@ -48,6 +70,7 @@ __all__ = [
     "ResourceLimitError",
     "SearchBudgetExceeded",
     "VARIANTS",
+    "IMPLIES",
     "spec_from_name",
     "is_alliance",
     "is_dominating_set",
@@ -83,6 +106,34 @@ VARIANTS: dict[str, _Conditions] = {
     "offensive": _Conditions(None, 1, False, False),
     "strong_offensive": _Conditions(None, 2, False, False),
     "domination": _Conditions(None, None, False, True),
+}
+
+
+def _implies(x: _Conditions, y: _Conditions) -> bool:
+    """Whether every set that meets ``x``'s conditions meets ``y``'s."""
+    # An outsider that needs 2*in >= deg + c with c > 0 has a member
+    # neighbor, so such a condition over all of V\S dominates, and a
+    # dominating set's boundary is all of V\S.
+    dominates = x.dominate or (x.outside_all and x.outside_need is not None and x.outside_need > 0)
+    return (
+        (y.member_slack is None or (x.member_slack is not None and x.member_slack >= y.member_slack))
+        and (
+            y.outside_need is None
+            or (
+                x.outside_need is not None
+                and x.outside_need >= y.outside_need
+                and (x.outside_all or x.dominate or not y.outside_all)
+            )
+        )
+        and (dominates or not y.dominate)
+    )
+
+
+# Per row, the other rows that each of its sets also satisfies, so its
+# minimum is at least theirs: "every global dual alliance is a global
+# defensive and a global offensive alliance", and so on.
+IMPLIES: dict[str, tuple[str, ...]] = {
+    x: tuple(y for y in VARIANTS if y != x and _implies(VARIANTS[x], VARIANTS[y])) for x in VARIANTS
 }
 
 
@@ -207,7 +258,13 @@ def _tables(g: Graph, cond: _Conditions) -> _Tables:
     )
 
 
-def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | None) -> int | None:
+def _search_exact(
+    t: _Tables,
+    k: int,
+    counter: dict[str, int],
+    max_nodes: int | None,
+    orbits: Callable[[], Sequence[int]] | None = None,
+) -> int | None:
     """Lexicographically smallest satisfying k-subset, or None.
 
     Vertices are decided in/out in index order, in-branch first, so the
@@ -255,13 +312,28 @@ def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | 
       are hopeless. For domination this is the 2-packing bound gamma >= rho
       (Meir & Moon, 1975).
 
-    The bounds only discard subtrees with no satisfying k-set, so the first
-    hit and the witness are unchanged; only the node count drops.
+    Orbit exclusion: ``orbits()`` gives, per vertex, a bitmask of vertices
+    that automorphisms map it to (``Graph.orbits``), and is called the first
+    time it is needed. The spine is the path on which every decided vertex
+    is out (``chosen == 0``). When u's in-branch is spent on the spine, no
+    k-set contains u: one would have u as its first member, or an earlier
+    first member whose in-branch was spent before. An automorphism maps
+    k-sets to k-sets, since every condition is read off degrees and
+    adjacency, so no k-set contains any vertex of u's orbit either, and the
+    search skips the in-branch of each of them (``excluded``) for the rest
+    of this k. ``excluded`` is a union of orbits, none of them in a k-set,
+    so the argument holds again at each later spine vertex.
+
+    The bounds and the exclusion only discard subtrees with no satisfying
+    k-set, so the first hit and the witness are unchanged; only the node
+    count drops.
     """
     n, adjacency, masks, need_in, need_touched, need_out, per_member, earlier = t
     member = [False] * n
     in_count = [0] * n
     full = (1 << n) - 1
+    orbit: Sequence[int] | None = None if orbits else [1 << v for v in range(n)]
+    excluded = 0  # vertices in no k-set, each with its orbit
 
     def bounds_ok(first: int, r: int) -> bool:
         # Vertices before ``first`` are decided, the rest undecided.
@@ -314,6 +386,8 @@ def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | 
     while True:
         if u == n:
             return sum(1 << v for v in range(n) if member[v])
+        if joins and (excluded >> u) & 1:
+            joins = False
         if (chosen < k) if joins else (chosen + n - u - 1 >= k):
             counter["nodes"] += 1
             if max_nodes is not None and counter["nodes"] > max_nodes:
@@ -353,27 +427,45 @@ def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | 
                     continue
         if joins:
             joins = False
-            continue
-        # Both branches at u are spent: pop decisions up to the nearest
-        # member and try it as an outsider.
-        while True:
-            u -= 1
-            if u < 0:
-                return None
-            if member[u]:
-                leave(u)
-                chosen -= 1
-                joins = False
-                break
+        else:
+            # Both branches at u are spent: pop decisions up to the nearest
+            # member and try it as an outsider.
+            while True:
+                u -= 1
+                if u < 0:
+                    return None
+                if member[u]:
+                    leave(u)
+                    chosen -= 1
+                    break
+        if not chosen:
+            # u's in-branch is spent on the spine.
+            if orbit is None:
+                orbit = orbits()
+            excluded |= orbit[u]
 
 
-def min_alliance_number(g: Graph, spec: AllianceSpec, limits: SearchLimits | None = None) -> AllianceResult:
+def min_alliance_number(
+    g: Graph,
+    spec: AllianceSpec,
+    limits: SearchLimits | None = None,
+    known: Mapping[str, AllianceResult] | None = None,
+) -> AllianceResult:
     """Exact minimum cardinality of a set of the given variant.
 
-    Searches cardinalities 1, 2, ... once each, over one set of tables, so
-    the first satisfiable size is the minimum. Vertices are decided in
-    index order, so the witness is the lexicographically smallest minimum
-    set. Always terminates: the full vertex set qualifies.
+    Searches cardinalities from a start up, once each, over one set of
+    tables, so the first satisfiable size is the minimum. Vertices are
+    decided in index order, so the witness is the lexicographically
+    smallest minimum set. Always terminates: the full vertex set qualifies.
+
+    ``known`` holds results this function already returned for ``g``, by
+    variant name. The search starts at the largest value among the rows
+    ``spec`` implies (``IMPLIES``), since each of its sets is a set of
+    theirs; with none it starts at 1. If such a row's witness has that
+    value and is a ``spec`` set, it is returned with ``nodes_explored`` 0:
+    it is the smallest set of the implied row of that size, and every
+    ``spec`` set of that size is one of them, so no ``spec`` set of that
+    size comes before it.
     """
     limits = limits or SearchLimits()
     if g.n > limits.max_n:
@@ -381,10 +473,16 @@ def min_alliance_number(g: Graph, spec: AllianceSpec, limits: SearchLimits | Non
             f"order {g.n} exceeds the solver ceiling {limits.max_n}; raise max_n (--max-n) to search anyway,"
             " or evaluate the bounds alone (analyze --bounds-only)"
         )
-    tables = _tables(g, VARIANTS[spec.name])
+    cond = VARIANTS[spec.name]
+    implied = [known[name] for name in IMPLIES[spec.name] if name in known] if known else []
+    start = max((result.value for result in implied), default=1)
+    for result in implied:
+        if result.value == start and _satisfies(g, result.witness.mask, cond):
+            return AllianceResult(value=start, witness=result.witness, nodes_explored=0)
+    tables = _tables(g, cond)
     counter = {"nodes": 0}
-    for k in range(1, g.n + 1):
-        mask = _search_exact(tables, k, counter, limits.max_nodes)
+    for k in range(start, g.n + 1):
+        mask = _search_exact(tables, k, counter, limits.max_nodes, g.orbits)
         if mask is not None:
             return AllianceResult(
                 value=k,

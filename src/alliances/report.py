@@ -12,6 +12,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import bounds as bounds_mod
 from .alliance_solver import (
+    AllianceResult,
     AllianceSpec,
     SearchLimits,
     VARIANTS,
@@ -73,17 +74,12 @@ def _girth_json(value: int | float) -> int | None:
     return None if math.isinf(value) else int(value)
 
 
-def _solve_exact(g: Graph, spec: AllianceSpec, limits: SearchLimits) -> dict:
+def _solve_exact(g: Graph, spec: AllianceSpec, limits: SearchLimits, known: dict[str, AllianceResult]) -> AllianceResult:
     # perfbench traces the domination row by this name (bench_trace.install).
+    # Domination implies no other row, so it has no use for ``known``.
     if spec.name == "domination":
-        result = domination_number(g, limits)
-    else:
-        result = min_alliance_number(g, spec, limits)
-    return {
-        "value": result.value,
-        "witness": list(result.witness),
-        "nodes_explored": result.nodes_explored,
-    }
+        return domination_number(g, limits)
+    return min_alliance_number(g, spec, limits, known)
 
 
 def analyze(
@@ -116,7 +112,14 @@ def analyze(
     requested = [AllianceSpec(name) for name in dict.fromkeys(DEFAULT_SPECS if specs is None else specs)]
     bounds_mod.select_theorems(theorems)
 
-    exact = {} if bounds_only else {spec.name: _solve_exact(g, spec, limits) for spec in requested}
+    # Each search starts from the results before it (min_alliance_number).
+    results: dict[str, AllianceResult] = {}
+    for spec in [] if bounds_only else requested:
+        results[spec.name] = _solve_exact(g, spec, limits, results)
+    exact = {
+        name: {"value": result.value, "witness": list(result.witness), "nodes_explored": result.nodes_explored}
+        for name, result in results.items()
+    }
     stats = degree_stats(g)
     girth_value = girth(g)
     try:

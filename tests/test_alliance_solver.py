@@ -1,7 +1,7 @@
 import dataclasses
 import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from alliances import generators
 from alliances.generators import GraphFamilySpec, build
 from alliances.alliance_solver import (
+    IMPLIES,
     AllianceSpec,
     ResourceLimitError,
     SearchBudgetExceeded,
@@ -289,19 +290,19 @@ class TestLimits:
 class TestSearchTree:
     def test_corpus_node_counts_are_pinned(self, corpus):
         # Totals over the named corpus of the index-order, in-branch-first
-        # search with the deficit and packing bounds; a change to the tree
-        # walk or its pruning shows here.
+        # search with the deficit and packing bounds and orbit exclusion on
+        # the spine; a change to the tree walk or its pruning shows here.
         expected = {
-            "defensive": 441,
-            "strong_defensive": 1003,
-            "global_defensive": 1386,
-            "global_strong_defensive": 1257,
-            "offensive": 1016,
-            "strong_offensive": 1482,
-            "global_offensive": 455,
-            "global_strong_offensive": 823,
-            "global_dual": 485,
-            "global_strong_dual": 536,
+            "defensive": 303,
+            "strong_defensive": 559,
+            "global_defensive": 798,
+            "global_strong_defensive": 763,
+            "offensive": 679,
+            "strong_offensive": 1051,
+            "global_offensive": 341,
+            "global_strong_offensive": 671,
+            "global_dual": 415,
+            "global_strong_dual": 481,
             "domination": 167,
         }
         totals = dict.fromkeys(expected, 0)
@@ -332,12 +333,12 @@ class TestSearchTree:
             (
                 GraphFamilySpec("random_regular", (22, 3), seed=1),
                 {
-                    "defensive": 80,
-                    "strong_defensive": 167,
-                    "global_defensive": 4508,
-                    "global_strong_defensive": 38697,
-                    "offensive": 72,
-                    "strong_offensive": 15850,
+                    "defensive": 79,
+                    "strong_defensive": 165,
+                    "global_defensive": 4436,
+                    "global_strong_defensive": 38601,
+                    "offensive": 71,
+                    "strong_offensive": 15721,
                     "global_offensive": 2441,
                     "global_strong_offensive": 1281,
                     "global_dual": 19664,
@@ -348,44 +349,44 @@ class TestSearchTree:
             (
                 GraphFamilySpec("grid", (4, 6)),
                 {
-                    "defensive": 71,
-                    "strong_defensive": 305,
-                    "global_defensive": 1151,
-                    "global_strong_defensive": 6342,
-                    "offensive": 7598,
-                    "strong_offensive": 8421,
-                    "global_offensive": 5953,
-                    "global_strong_offensive": 680,
-                    "global_dual": 2621,
-                    "global_strong_dual": 3736,
-                    "domination": 408,
+                    "defensive": 53,
+                    "strong_defensive": 182,
+                    "global_defensive": 995,
+                    "global_strong_defensive": 4820,
+                    "offensive": 5959,
+                    "strong_offensive": 7148,
+                    "global_offensive": 5355,
+                    "global_strong_offensive": 647,
+                    "global_dual": 2337,
+                    "global_strong_dual": 3131,
+                    "domination": 272,
                 },
             ),
             (
                 GraphFamilySpec("hypercube", (4,)),
                 {
-                    "defensive": 157,
-                    "strong_defensive": 157,
-                    "global_defensive": 3536,
-                    "global_strong_defensive": 3536,
-                    "offensive": 451,
-                    "strong_offensive": 451,
-                    "global_offensive": 216,
-                    "global_strong_offensive": 216,
-                    "global_dual": 1204,
-                    "global_strong_dual": 1204,
+                    "defensive": 69,
+                    "strong_defensive": 69,
+                    "global_defensive": 1836,
+                    "global_strong_defensive": 1836,
+                    "offensive": 300,
+                    "strong_offensive": 300,
+                    "global_offensive": 186,
+                    "global_strong_offensive": 186,
+                    "global_dual": 948,
+                    "global_strong_dual": 948,
                     "domination": 28,
                 },
             ),
             (
                 GraphFamilySpec("cycle", (24,)),
                 {
-                    "defensive": 71,
-                    "strong_defensive": 71,
-                    "global_defensive": 2158,
-                    "global_strong_defensive": 2158,
-                    "offensive": 12598,
-                    "strong_offensive": 12598,
+                    "defensive": 48,
+                    "strong_defensive": 48,
+                    "global_defensive": 1538,
+                    "global_strong_defensive": 1538,
+                    "offensive": 8348,
+                    "strong_offensive": 8348,
                     "global_offensive": 35,
                     "global_strong_offensive": 35,
                     "global_dual": 59,
@@ -396,60 +397,60 @@ class TestSearchTree:
             (
                 GraphFamilySpec("grid", (4, 5)),
                 {
-                    "defensive": 59,
-                    "strong_defensive": 252,
-                    "global_defensive": 1284,
-                    "global_strong_defensive": 1787,
-                    "offensive": 1875,
-                    "strong_offensive": 2738,
-                    "global_offensive": 1710,
-                    "global_strong_offensive": 325,
+                    "defensive": 45,
+                    "strong_defensive": 153,
+                    "global_defensive": 951,
+                    "global_strong_defensive": 1401,
+                    "offensive": 1508,
+                    "strong_offensive": 2344,
+                    "global_offensive": 1528,
+                    "global_strong_offensive": 318,
                     "global_dual": 1587,
-                    "global_strong_dual": 779,
-                    "domination": 339,
+                    "global_strong_dual": 635,
+                    "domination": 329,
                 },
             ),
             (
                 GraphFamilySpec("complete_minus_matching", (14,)),
                 {
-                    "defensive": 714,
-                    "strong_defensive": 714,
-                    "global_defensive": 847,
-                    "global_strong_defensive": 847,
-                    "offensive": 2545,
-                    "strong_offensive": 2545,
-                    "global_offensive": 2360,
-                    "global_strong_offensive": 2360,
-                    "global_dual": 1864,
-                    "global_strong_dual": 1864,
+                    "defensive": 651,
+                    "strong_defensive": 651,
+                    "global_defensive": 637,
+                    "global_strong_defensive": 637,
+                    "offensive": 856,
+                    "strong_offensive": 856,
+                    "global_offensive": 776,
+                    "global_strong_offensive": 776,
+                    "global_dual": 946,
+                    "global_strong_dual": 946,
                     "domination": 14,
                 },
             ),
             (
                 GraphFamilySpec("grid", (3, 7)),
                 {
-                    "defensive": 62,
-                    "strong_defensive": 157,
-                    "global_defensive": 648,
-                    "global_strong_defensive": 518,
-                    "offensive": 2271,
-                    "strong_offensive": 2124,
-                    "global_offensive": 1485,
-                    "global_strong_offensive": 315,
-                    "global_dual": 1731,
-                    "global_strong_dual": 1833,
-                    "domination": 191,
+                    "defensive": 49,
+                    "strong_defensive": 116,
+                    "global_defensive": 512,
+                    "global_strong_defensive": 481,
+                    "offensive": 1740,
+                    "strong_offensive": 1694,
+                    "global_offensive": 1384,
+                    "global_strong_offensive": 264,
+                    "global_dual": 1549,
+                    "global_strong_dual": 1600,
+                    "domination": 186,
                 },
             ),
             (
                 GraphFamilySpec("path", (24,)),
                 {
                     "defensive": 24,
-                    "strong_defensive": 71,
+                    "strong_defensive": 59,
                     "global_defensive": 2492,
                     "global_strong_defensive": 2179,
-                    "offensive": 24874,
-                    "strong_offensive": 24943,
+                    "offensive": 24797,
+                    "strong_offensive": 24865,
                     "global_offensive": 35,
                     "global_strong_offensive": 37,
                     "global_dual": 63,
@@ -460,17 +461,17 @@ class TestSearchTree:
             (
                 GraphFamilySpec("grid", (3, 8)),
                 {
-                    "defensive": 71,
-                    "strong_defensive": 180,
-                    "global_defensive": 1178,
-                    "global_strong_defensive": 678,
-                    "offensive": 9372,
-                    "strong_offensive": 4930,
-                    "global_offensive": 2368,
-                    "global_strong_offensive": 793,
-                    "global_dual": 4053,
-                    "global_strong_dual": 3655,
-                    "domination": 219,
+                    "defensive": 55,
+                    "strong_defensive": 131,
+                    "global_defensive": 908,
+                    "global_strong_defensive": 626,
+                    "offensive": 7472,
+                    "strong_offensive": 4309,
+                    "global_offensive": 2249,
+                    "global_strong_offensive": 766,
+                    "global_dual": 3585,
+                    "global_strong_dual": 3232,
+                    "domination": 189,
                 },
             ),
         ],
@@ -514,3 +515,119 @@ class TestSearchTree:
             assert _search_exact(_tables(g, VARIANTS["domination"]), k, counter, None) is None
             assert counter["nodes"] == 0, k
         assert domination_number(g).value == 8
+
+
+def _graphs_up_to_isomorphism(n: int) -> list[Graph]:
+    """One graph per isomorphism class of order n: the labelled graph whose
+    edge mask is the smallest over all relabellings."""
+    pairs = list(combinations(range(n), 2))
+    bit = {pair: i for i, pair in enumerate(pairs)}
+    perms = list(permutations(range(n)))
+    classes = set()
+    for mask in range(1 << len(pairs)):
+        edges = [pair for i, pair in enumerate(pairs) if mask >> i & 1]
+        classes.add(min(sum(1 << bit[tuple(sorted((p[u], p[v])))] for u, v in edges) for p in perms))
+    return [Graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1]) for mask in sorted(classes)]
+
+
+class TestImplications:
+    def test_relation_is_pinned(self):
+        assert IMPLIES == {
+            "defensive": (),
+            "strong_defensive": ("defensive",),
+            "global_defensive": ("defensive", "domination"),
+            "global_strong_defensive": ("defensive", "strong_defensive", "global_defensive", "domination"),
+            "global_offensive": ("offensive", "domination"),
+            "global_strong_offensive": ("global_offensive", "offensive", "strong_offensive", "domination"),
+            "global_dual": ("defensive", "global_defensive", "global_offensive", "offensive", "domination"),
+            "global_strong_dual": tuple(name for name in VARIANTS if name != "global_strong_dual"),
+            "offensive": (),
+            "strong_offensive": ("offensive",),
+            "domination": (),
+        }
+
+    def test_relation_contains_the_roadmap_chain(self):
+        # "x <= y" on values: every y-set is an x-set.
+        chain = [
+            ("defensive", "strong_defensive"),
+            ("strong_defensive", "global_strong_defensive"),
+            ("defensive", "global_defensive"),
+            ("global_defensive", "global_strong_defensive"),
+            *(("domination", name) for name in VARIANTS if name.startswith("global_")),
+            ("global_defensive", "global_dual"),
+            ("global_offensive", "global_dual"),
+            ("global_dual", "global_strong_dual"),
+            ("global_strong_defensive", "global_strong_dual"),
+            ("global_strong_offensive", "global_strong_dual"),
+        ]
+        for weaker, stronger in chain:
+            assert weaker in IMPLIES[stronger], (weaker, stronger)
+
+    def test_every_implied_row_holds_on_every_graph_of_order_up_to_five(self):
+        graphs_checked = 0
+        for n in range(1, 6):
+            for g in _graphs_up_to_isomorphism(n):
+                graphs_checked += 1
+                for mask in range(1, 1 << n):
+                    s = VertexSet.from_mask(mask)
+                    holds = {name: is_alliance(g, s, AllianceSpec(name)) for name in VARIANTS}
+                    for x, implied in IMPLIES.items():
+                        if holds[x]:
+                            assert all(holds[y] for y in implied), (g.adjacency, mask, x)
+        assert graphs_checked == 1 + 2 + 4 + 11 + 34
+
+    def test_known_results_change_no_value_or_witness(self, corpus):
+        graphs = [*corpus.values(), *(generators.gnp(12, 0.3, seed=seed) for seed in range(4))]
+        for g in graphs:
+            known = {}
+            for name in VARIANTS:
+                alone = min_alliance_number(g, spec_from_name(name))
+                result = min_alliance_number(g, spec_from_name(name), known=known)
+                assert (result.value, result.witness) == (alone.value, alone.witness), name
+                assert result.nodes_explored <= alone.nodes_explored, name
+                known[name] = result
+
+    def test_a_weaker_rows_witness_is_reused_without_search(self):
+        # On K_5 the first three vertices are both the smallest defensive
+        # alliance and a strong defensive one (each member has 2 of its 4
+        # neighbors inside).
+        g = generators.complete(5)
+        defensive = min_alliance_number(g, DEFENSIVE)
+        assert (defensive.value, list(defensive.witness)) == (3, [0, 1, 2])
+        result = min_alliance_number(g, STRONG_DEFENSIVE, known={"defensive": defensive})
+        assert (result.value, result.witness, result.nodes_explored) == (3, defensive.witness, 0)
+
+    def test_search_starts_at_the_largest_implied_value(self):
+        # A one-node budget stops the search in the first cardinality it
+        # tries, which is the largest value of the rows global_strong_dual
+        # implies, not 1.
+        g = generators.petersen()
+        known = {name: min_alliance_number(g, spec_from_name(name)) for name in ("defensive", "global_dual")}
+        start = max(result.value for result in known.values())
+        with pytest.raises(SearchBudgetExceeded) as caught:
+            min_alliance_number(g, GLOBAL_STRONG_DUAL, SearchLimits(max_nodes=1), known=known)
+        assert caught.value.cardinality == start > 1
+
+
+class TestOrbitExclusion:
+    def test_every_cardinality_has_the_same_hit_with_fewer_nodes(self, corpus):
+        graphs = [*corpus.values(), generators.grid(3, 4), generators.hypercube(4)]
+        for g in graphs:
+            for name, cond in VARIANTS.items():
+                tables = _tables(g, cond)
+                for k in range(1, g.n + 1):
+                    plain, pruned = {"nodes": 0}, {"nodes": 0}
+                    expected = _search_exact(tables, k, plain, None)
+                    assert _search_exact(tables, k, pruned, None, g.orbits) == expected, (g, name, k)
+                    assert pruned["nodes"] <= plain["nodes"], (g, name, k)
+
+    def test_a_vertex_transitive_graph_refutes_a_cardinality_from_vertex_0_alone(self):
+        # No single vertex of C_12 is a defensive alliance. Once vertex 0's
+        # in-branch fails on the spine, no vertex is tried in: one node for
+        # that in-branch, then the n - 1 out decisions the spine can take.
+        g = generators.cycle(12)
+        tables = _tables(g, VARIANTS["defensive"])
+        plain, pruned = {"nodes": 0}, {"nodes": 0}
+        assert _search_exact(tables, 1, plain, None) is None
+        assert _search_exact(tables, 1, pruned, None, g.orbits) is None
+        assert (plain["nodes"], pruned["nodes"]) == (g.n + g.n - 1, 1 + g.n - 1)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import alliances
-from alliances import bounds, generators
+from alliances import bounds, generators, graph_core
 from alliances.alliance_solver import VARIANTS
 from alliances.cli import main, parse_family
 from alliances.generators import GraphFamilySpec, build
@@ -247,6 +247,16 @@ class TestAnalyze:
         assert len(err.splitlines()) == 1
         assert "order 600 exceeds the solver ceiling 24" in err
         assert "--max-n" in err and "--bounds-only" in err
+
+    def test_no_orbits_above_the_ceiling_or_for_bounds_alone(self, capsys, monkeypatch):
+        def no_orbits(g, *args, **kwargs):
+            raise AssertionError("automorphism orbits computed")
+
+        monkeypatch.setattr(graph_core, "automorphism_orbits", no_orbits)
+        assert run(capsys, "analyze", "path:600")[0] == 3
+        assert run(capsys, "analyze", "hypercube:4", "--bounds-only")[0] == 0
+        with pytest.raises(AssertionError, match="orbits computed"):
+            main(["analyze", "hypercube:4"])  # a search does reach the patched routine
 
     def test_bounds_only_runs_above_the_solver_ceiling(self, capsys):
         code, out, _ = run(capsys, "analyze", "complete:6", "--max-n", "4", "--bounds-only", "--deterministic")

@@ -1,7 +1,7 @@
 """Cross-checks against networkx, an implementation that shares no code
-with this package: girth and the graph6 encoding, order fields included,
-and every graph of order 1-6 in its atlas through ``analyze``, with the
-bounds' tightness census over those graphs pinned.
+with this package: girth, automorphism orbits, the graph6 encoding, order
+fields included, and every graph of order 1-6 in its atlas through
+``analyze``, with the bounds' tightness census over those graphs pinned.
 Test-only; skipped where networkx is not installed."""
 
 import re
@@ -11,7 +11,7 @@ import pytest
 
 from alliances import generators, report
 from alliances.alliance_solver import VARIANTS
-from alliances.graph_core import MAX_ORDER, Graph, girth
+from alliances.graph_core import MAX_ORDER, Graph, automorphism_orbits, girth
 from alliances.io_formats import ParseError, parse_graph6, write_graph6
 
 from corpus import named_graphs
@@ -48,6 +48,70 @@ def test_girth_matches_networkx(name):
     assert girth(g) == nx.girth(_to_nx(g))
 
 
+def _orbits_by_matching(g: Graph) -> tuple[int, ...]:
+    """Orbit masks from networkx's VF2 matcher: v and w share an orbit iff
+    some isomorphism of the graph onto itself maps v to w. One match per
+    pair not already joined, so no automorphism group is listed."""
+    h = _to_nx(g)
+    parent = list(range(g.n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for v in range(g.n):
+        for w in range(v + 1, g.n):
+            if find(v) != find(w):
+                nx.set_node_attributes(h, {x: x == v for x in h}, "source")
+                nx.set_node_attributes(h, {x: x == w for x in h}, "target")
+                matcher = nx.isomorphism.GraphMatcher(h, h, node_match=lambda a, b: a["source"] == b["target"])
+                if matcher.is_isomorphic():
+                    parent[find(w)] = find(v)
+    orbit = [0] * g.n
+    for v in range(g.n):
+        orbit[find(v)] |= 1 << v
+    return tuple(orbit[find(v)] for v in range(g.n))
+
+
+ORBIT_CASES = {
+    **named_graphs(),
+    "hypercube:4": generators.hypercube(4),
+    # Its group has 2^7 * 7! = 645,120 elements: far too many to list.
+    "complete_minus_matching:14": generators.complete_minus_matching(14),
+    "grid:4:5": generators.grid(4, 5),
+    "grid:3:7": generators.grid(3, 7),
+    # 3-regular with a trivial group: one refinement cell, twelve orbits.
+    "frucht": Graph(12, nx.frucht_graph().edges()),
+}
+
+
+@pytest.mark.parametrize("name", list(ORBIT_CASES))
+def test_orbits_match_networkx(name):
+    g = ORBIT_CASES[name]
+    assert automorphism_orbits(g) == _orbits_by_matching(g)
+
+
+def test_orbit_examples():
+    corners = (1 << 0) | (1 << 4) | (1 << 15) | (1 << 19)
+    assert automorphism_orbits(ORBIT_CASES["grid:4:5"])[0] == corners
+    assert set(automorphism_orbits(ORBIT_CASES["complete_minus_matching:14"])) == {(1 << 14) - 1}
+    frucht = ORBIT_CASES["frucht"]
+    assert len({len(nbrs) for nbrs in frucht.adjacency}) == 1
+    assert automorphism_orbits(frucht) == tuple(1 << v for v in range(12))
+
+
+@pytest.mark.parametrize("name", ["hypercube:4", "complete_minus_matching:14", "grid:4:5", "frucht"])
+@pytest.mark.parametrize("budget", [0, 1, 5])
+def test_a_spent_budget_leaves_orbits_within_the_true_ones(name, budget):
+    g = ORBIT_CASES[name]
+    true = _orbits_by_matching(g)
+    orbits = automorphism_orbits(g, budget=budget)
+    for v in range(g.n):
+        assert (orbits[v] >> v) & 1 and not orbits[v] & ~true[v]
+        assert all(orbits[w] == orbits[v] for w in range(g.n) if (orbits[v] >> w) & 1)
+
+
 @pytest.mark.parametrize("n", [1, 2, 30, 62, 63, 64, 100, 300])
 def test_graph6_round_trips_match_networkx(n):
     # 62 is the last one-byte order field; from 63 on the order takes the
@@ -71,20 +135,21 @@ def test_eight_byte_order_above_the_ceiling_is_a_parse_error(n):
         parse_graph6(header + "?")
 
 
-# Sums of ``nodes_explored`` over the 208 atlas graphs of order 1-6: the
-# shape of the search tree on every small graph, not just the corpus.
+# Sums of ``nodes_explored`` over the 208 atlas graphs of order 1-6, each
+# analyzed with all eleven variants: the shape of the search tree on every
+# small graph, not just the corpus.
 ATLAS_NODE_SUMS = {
-    "defensive": 2633,
-    "strong_defensive": 5040,
-    "global_defensive": 4219,
-    "global_strong_defensive": 5873,
-    "global_offensive": 2482,
-    "global_strong_offensive": 3473,
-    "global_dual": 3461,
-    "global_strong_dual": 4152,
-    "offensive": 4760,
-    "strong_offensive": 6744,
-    "domination": 1579,
+    "defensive": 2207,
+    "strong_defensive": 2968,
+    "global_defensive": 2904,
+    "global_strong_defensive": 1795,
+    "global_offensive": 2312,
+    "global_strong_offensive": 2581,
+    "global_dual": 1585,
+    "global_strong_dual": 2135,
+    "offensive": 3995,
+    "strong_offensive": 3120,
+    "domination": 1499,
 }
 
 # The tightness census over the same 208 graphs: per (theorem, target), the
@@ -135,7 +200,7 @@ def test_every_graph_of_order_one_to_six_matches_the_naive_oracle():
                 census[row["theorem"], row["target"]] = (applicable + 1, tight + (row["gap"] == 0), total + row["value"])
     assert len(atlas) == 208
     assert sums == ATLAS_NODE_SUMS
-    assert sum(sums.values()) == 44416
+    assert sum(sums.values()) == 27101
     assert census == ATLAS_CENSUS
     assert degenerate == 130
 
