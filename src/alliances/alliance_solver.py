@@ -36,7 +36,7 @@ built once per graph and variant and shared by every cardinality searched.
 Two more prunings use what is already known, and neither changes a value
 or a witness either:
 
-* Implication-order starts. ``IMPLIES`` is derived from the thresholds: X
+* Implication-order starts. ``_IMPLIES`` is derived from the thresholds: X
   implies Y when each of Y's conditions follows from one of X's, so every
   X-set is a Y-set and X's minimum is at least Y's. Given the results
   already found for a graph, ``min_alliance_number`` starts at the largest
@@ -70,7 +70,6 @@ __all__ = [
     "ResourceLimitError",
     "SearchBudgetExceeded",
     "VARIANTS",
-    "IMPLIES",
     "spec_from_name",
     "is_alliance",
     "is_dominating_set",
@@ -132,7 +131,7 @@ def _implies(x: _Conditions, y: _Conditions) -> bool:
 # Per row, the other rows that each of its sets also satisfies, so its
 # minimum is at least theirs: "every global dual alliance is a global
 # defensive and a global offensive alliance", and so on.
-IMPLIES: dict[str, tuple[str, ...]] = {
+_IMPLIES: dict[str, tuple[str, ...]] = {
     x: tuple(y for y in VARIANTS if y != x and _implies(VARIANTS[x], VARIANTS[y])) for x in VARIANTS
 }
 
@@ -449,7 +448,8 @@ def min_alliance_number(
     g: Graph,
     spec: AllianceSpec,
     limits: SearchLimits | None = None,
-    known: Mapping[str, AllianceResult] | None = None,
+    *,
+    _known: Mapping[str, AllianceResult] | None = None,
 ) -> AllianceResult:
     """Exact minimum cardinality of a set of the given variant.
 
@@ -458,10 +458,12 @@ def min_alliance_number(
     decided in index order, so the witness is the lexicographically
     smallest minimum set. Always terminates: the full vertex set qualifies.
 
-    ``known`` holds results this function already returned for ``g``, by
-    variant name. The search starts at the largest value among the rows
-    ``spec`` implies (``IMPLIES``), since each of its sets is a set of
-    theirs; with none it starts at 1. If such a row's witness has that
+    ``_known`` is private to ``report.analyze``, and is trusted unchecked:
+    it holds results this function already returned for this same ``g``,
+    by variant name. Results of another graph can make the start too
+    large and the value wrong. The search starts at the largest value
+    among the rows ``spec`` implies (``_IMPLIES``), since each of its sets
+    is a set of theirs; with none it starts at 1. If such a row's witness has that
     value and is a ``spec`` set, it is returned with ``nodes_explored`` 0:
     it is the smallest set of the implied row of that size, and every
     ``spec`` set of that size is one of them, so no ``spec`` set of that
@@ -474,7 +476,7 @@ def min_alliance_number(
             " or evaluate the bounds alone (analyze --bounds-only)"
         )
     cond = VARIANTS[spec.name]
-    implied = [known[name] for name in IMPLIES[spec.name] if name in known] if known else []
+    implied = [_known[name] for name in _IMPLIES[spec.name] if name in _known] if _known else []
     start = max((result.value for result in implied), default=1)
     for result in implied:
         if result.value == start and _satisfies(g, result.witness.mask, cond):

@@ -14,7 +14,6 @@ __all__ = [
     "girth",
     "is_connected",
     "degree_stats",
-    "automorphism_orbits",
     "MAX_ORDER",
 ]
 
@@ -22,7 +21,7 @@ __all__ = [
 # float64 n x n arrays, about 400 MB at this order.
 MAX_ORDER = 4096
 
-# How many candidate images ``automorphism_orbits`` may try, one colour
+# How many candidate images ``_automorphism_orbits`` may try, one colour
 # refinement each, while it searches one graph for automorphisms. Once they
 # are spent, each vertex keeps the part of its orbit found so far, which is
 # always sound. It also bounds the search's recursion depth.
@@ -40,11 +39,13 @@ class Graph:
     Adjacency is stored twice: as sorted tuples for iteration and as
     per-vertex bitmasks so that counting a vertex's neighbors inside a
     subset is a single AND plus popcount. Instances are immutable after
-    construction and safe to share between threads.
+    construction, apart from a cache of the automorphism orbits that the
+    first call to ``orbits`` fills. Filling it is idempotent: two threads
+    may both compute the orbits and both store the same value, so
+    instances are safe to share between threads.
 
     Duplicate edges collapse silently; self-loops are rejected, and so is
-    an order above ``MAX_ORDER``. The automorphism orbits are computed on
-    the first call to ``orbits`` and kept.
+    an order above ``MAX_ORDER``.
     """
 
     __slots__ = ("n", "m", "adjacency", "masks", "_orbits")
@@ -68,9 +69,10 @@ class Graph:
         self._orbits: tuple[int, ...] | None = None
 
     def orbits(self) -> tuple[int, ...]:
-        """``automorphism_orbits(self)``, computed once."""
+        """Per vertex, the bitmask of the vertices an automorphism maps it
+        to (``_automorphism_orbits``), computed once."""
         if self._orbits is None:
-            self._orbits = automorphism_orbits(self)
+            self._orbits = _automorphism_orbits(self)
         return self._orbits
 
     def degree(self, v: int) -> int:
@@ -243,7 +245,7 @@ def _cells(colours: list[int]) -> dict[int, list[int]]:
     return cells
 
 
-def automorphism_orbits(g: Graph, budget: int = ORBIT_BUDGET) -> tuple[int, ...]:
+def _automorphism_orbits(g: Graph) -> tuple[int, ...]:
     """Per vertex, the bitmask of the vertices an automorphism of ``g`` maps it to.
 
     Colour refinement splits the vertices into cells that automorphisms
@@ -257,15 +259,15 @@ def automorphism_orbits(g: Graph, budget: int = ORBIT_BUDGET) -> tuple[int, ...]
     with more than one member on one side and try each vertex of that cell
     on the other, until every cell is a single vertex. Every permutation
     found is checked against ``masks``, and all of its cycles are merged.
-    The search tries at most ``budget`` candidate images on the graph; a
-    pair it has not matched by then stays apart, so each mask returned
-    lies within its vertex's orbit.
+    The search tries at most ``ORBIT_BUDGET`` candidate images on the
+    graph, read when it starts; a pair it has not matched by then stays
+    apart, so each mask returned lies within its vertex's orbit.
     """
     adjacency = g.adjacency
     masks = g.masks
     n = g.n
     names: dict = {}
-    left = budget
+    left = ORBIT_BUDGET
 
     parent = list(range(n))
 

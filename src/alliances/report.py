@@ -76,10 +76,11 @@ def _girth_json(value: int | float) -> int | None:
 
 def _solve_exact(g: Graph, spec: AllianceSpec, limits: SearchLimits, known: dict[str, AllianceResult]) -> AllianceResult:
     # perfbench traces the domination row by this name (bench_trace.install).
-    # Domination implies no other row, so it has no use for ``known``.
+    # Domination implies no other row, so it has no use for ``known``, the
+    # results already found for ``g``.
     if spec.name == "domination":
         return domination_number(g, limits)
-    return min_alliance_number(g, spec, limits, known)
+    return min_alliance_number(g, spec, limits, _known=known)
 
 
 def analyze(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from alliances import generators
 from alliances.generators import GraphFamilySpec, build
 from alliances.alliance_solver import (
-    IMPLIES,
+    _IMPLIES,
     AllianceSpec,
     ResourceLimitError,
     SearchBudgetExceeded,
@@ -532,7 +532,7 @@ def _graphs_up_to_isomorphism(n: int) -> list[Graph]:
 
 class TestImplications:
     def test_relation_is_pinned(self):
-        assert IMPLIES == {
+        assert _IMPLIES == {
             "defensive": (),
             "strong_defensive": ("defensive",),
             "global_defensive": ("defensive", "domination"),
@@ -561,7 +561,7 @@ class TestImplications:
             ("global_strong_offensive", "global_strong_dual"),
         ]
         for weaker, stronger in chain:
-            assert weaker in IMPLIES[stronger], (weaker, stronger)
+            assert weaker in _IMPLIES[stronger], (weaker, stronger)
 
     def test_every_implied_row_holds_on_every_graph_of_order_up_to_five(self):
         graphs_checked = 0
@@ -571,7 +571,7 @@ class TestImplications:
                 for mask in range(1, 1 << n):
                     s = VertexSet.from_mask(mask)
                     holds = {name: is_alliance(g, s, AllianceSpec(name)) for name in VARIANTS}
-                    for x, implied in IMPLIES.items():
+                    for x, implied in _IMPLIES.items():
                         if holds[x]:
                             assert all(holds[y] for y in implied), (g.adjacency, mask, x)
         assert graphs_checked == 1 + 2 + 4 + 11 + 34
@@ -582,7 +582,7 @@ class TestImplications:
             known = {}
             for name in VARIANTS:
                 alone = min_alliance_number(g, spec_from_name(name))
-                result = min_alliance_number(g, spec_from_name(name), known=known)
+                result = min_alliance_number(g, spec_from_name(name), _known=known)
                 assert (result.value, result.witness) == (alone.value, alone.witness), name
                 assert result.nodes_explored <= alone.nodes_explored, name
                 known[name] = result
@@ -594,7 +594,7 @@ class TestImplications:
         g = generators.complete(5)
         defensive = min_alliance_number(g, DEFENSIVE)
         assert (defensive.value, list(defensive.witness)) == (3, [0, 1, 2])
-        result = min_alliance_number(g, STRONG_DEFENSIVE, known={"defensive": defensive})
+        result = min_alliance_number(g, STRONG_DEFENSIVE, _known={"defensive": defensive})
         assert (result.value, result.witness, result.nodes_explored) == (3, defensive.witness, 0)
 
     def test_search_starts_at_the_largest_implied_value(self):
@@ -605,7 +605,7 @@ class TestImplications:
         known = {name: min_alliance_number(g, spec_from_name(name)) for name in ("defensive", "global_dual")}
         start = max(result.value for result in known.values())
         with pytest.raises(SearchBudgetExceeded) as caught:
-            min_alliance_number(g, GLOBAL_STRONG_DUAL, SearchLimits(max_nodes=1), known=known)
+            min_alliance_number(g, GLOBAL_STRONG_DUAL, SearchLimits(max_nodes=1), _known=known)
         assert caught.value.cardinality == start > 1
 
 

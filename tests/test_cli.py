@@ -249,10 +249,10 @@ class TestAnalyze:
         assert "--max-n" in err and "--bounds-only" in err
 
     def test_no_orbits_above_the_ceiling_or_for_bounds_alone(self, capsys, monkeypatch):
-        def no_orbits(g, *args, **kwargs):
+        def no_orbits(g):
             raise AssertionError("automorphism orbits computed")
 
-        monkeypatch.setattr(graph_core, "automorphism_orbits", no_orbits)
+        monkeypatch.setattr(graph_core, "_automorphism_orbits", no_orbits)
         assert run(capsys, "analyze", "path:600")[0] == 3
         assert run(capsys, "analyze", "hypercube:4", "--bounds-only")[0] == 0
         with pytest.raises(AssertionError, match="orbits computed"):
