@@ -226,6 +226,7 @@ class _Tables(NamedTuple):
     n: int
     adjacency: tuple[tuple[int, ...], ...]
     masks: tuple[int, ...]
+    closed: list[int]  # masks[v] | 1 << v: an undecided vertex's candidates
     need_in: list[int]  # in-neighbors a member needs
     need_touched: list[int]  # ... a non-member with a member neighbor
     need_out: list[int]  # ... a non-member without one
@@ -249,6 +250,7 @@ def _tables(g: Graph, cond: _Conditions) -> _Tables:
         n=n,
         adjacency=adjacency,
         masks=masks,
+        closed=[m | 1 << v for v, m in enumerate(masks)],
         need_in=need_in,
         need_touched=need_touched,
         need_out=need_out,
@@ -272,10 +274,11 @@ def _search_exact(
     (``_tables``): ``need_in`` as a member, ``need_touched`` as a non-member
     with a member neighbor and ``need_out`` as one without. A vertex's
     *need* is the one of these that fits its membership, less its
-    in-count; an undecided vertex counts as a non-member. The search stack
-    is the decided prefix ``v < u`` together with ``member``, the one
-    record of which vertices joined, so the depth (the graph order) is not
-    bounded by the recursion limit.
+    in-count; an undecided vertex counts as a non-member. The search writes
+    only two values per vertex, its in-count and its ``member`` flag; the
+    tables are read-only. The search stack is the decided prefix ``v < u``
+    together with ``member``, the one record of which vertices joined, so
+    the depth (the graph order) is not bounded by the recursion limit.
 
     A decided vertex passes its check when its *potential*, ``in`` plus its
     undecided neighbors, reaches its current need. Invariant: at every node
@@ -288,7 +291,7 @@ def _search_exact(
     members still to place, and writes nothing: it lowers the potential of
     u and of each of ``earlier[u]`` by one, so it checks just those, and
     taking it back is only ``u -= 1``. A join sets ``member[u]`` and adds
-    one in-count per neighbor, and ``leave`` undoes both; ``bounds_ok``
+    one in-count per neighbor, and taking it back undoes both; ``bounds_ok``
     runs one pass over all vertices, at the root and after every join, and
     fails at the first of three tests:
 
@@ -303,7 +306,8 @@ def _search_exact(
       ``D > r*(Δ+T)`` is hopeless. For domination D is the number of
       undominated vertices and T = 1, the coverage bound gamma >= n/(Δ+1);
     * the packing bound: a vertex's candidates are its undecided neighbors,
-      plus itself while undecided. Greedily, in index order, pack vertices
+      plus itself while undecided (``closed[v] & rest``, with ``closed``
+      the closed neighborhoods). Greedily, in index order, pack vertices
       with a positive need whose candidate sets are pairwise disjoint; an
       undecided vertex counts the smaller of its need and ``1 + max(0,
       need_in - in)`` (itself, then its member need). Each future member
@@ -327,14 +331,21 @@ def _search_exact(
     k-set, so the first hit and the witness are unchanged; only the node
     count drops.
     """
-    n, adjacency, masks, need_in, need_touched, need_out, per_member, earlier = t
+    n, adjacency, masks, closed, need_in, need_touched, need_out, per_member, earlier = t
     member = [False] * n
     in_count = [0] * n
-    full = (1 << n) - 1
     orbit: Sequence[int] | None = None if orbits else [1 << v for v in range(n)]
     excluded = 0  # vertices in no k-set, each with its orbit
 
-    def bounds_ok(first: int, r: int) -> bool:
+    # Everything the pass reads is bound as a default argument, which makes
+    # it a fast local, and taking back a join is written out where it
+    # happens. A name that a nested function reads from this scope becomes
+    # a closure cell, in the main loop too, and cell loads sit in the
+    # per-vertex loops. The node count is a local, written back on exit.
+    def bounds_ok(
+        first: int, r: int, n=n, full=(1 << n) - 1, in_count=in_count, member=member, masks=masks,
+        closed=closed, need_in=need_in, need_touched=need_touched, need_out=need_out, per_member=per_member,
+    ) -> bool:
         # Vertices before ``first`` are decided, the rest undecided.
         rest = full >> first << first
         cap = r * per_member
@@ -364,37 +375,37 @@ def _search_exact(
                 deficit += need
                 if deficit > cap:
                     return False
-                candidates = masks[v] & rest | 1 << v
+                candidates = closed[v] & rest
                 if not candidates & used:
                     used |= candidates
-                    packed += min(need, 1 + max(0, need_in[v] - c))
+                    # The smaller of its need and 1 + max(0, need_in - in).
+                    own = need_in[v] - c + 1
+                    packed += need if need < own else own if own > 1 else 1
                     if packed > r:
                         return False
         return True
 
-    def leave(v: int) -> None:
-        member[v] = False
-        for w in adjacency[v]:
-            in_count[w] -= 1
-
     if not bounds_ok(0, k):
         return None
+    nodes = counter["nodes"]
     chosen = 0
     u = 0
     joins = True  # the branch to try next at vertex u
     while True:
         if u == n:
+            counter["nodes"] = nodes
             return sum(1 << v for v in range(n) if member[v])
         if joins and (excluded >> u) & 1:
             joins = False
         if (chosen < k) if joins else (chosen + n - u - 1 >= k):
-            counter["nodes"] += 1
-            if max_nodes is not None and counter["nodes"] > max_nodes:
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                counter["nodes"] = nodes
                 raise SearchBudgetExceeded(
                     f"node budget {max_nodes} exhausted while searching cardinality {k};"
                     f" no satisfying set of size < {k} exists",
                     cardinality=k,
-                    nodes_explored=counter["nodes"],
+                    nodes_explored=nodes,
                 )
             shift = u + 1
             if joins:
@@ -405,7 +416,9 @@ def _search_exact(
                     chosen += 1
                     u = shift
                     continue
-                leave(u)
+                member[u] = False
+                for w in adjacency[u]:
+                    in_count[w] -= 1
             else:
                 # Only u and its decided neighbors lose potential.
                 c = in_count[u]
@@ -432,9 +445,12 @@ def _search_exact(
             while True:
                 u -= 1
                 if u < 0:
+                    counter["nodes"] = nodes
                     return None
                 if member[u]:
-                    leave(u)
+                    member[u] = False
+                    for w in adjacency[u]:
+                        in_count[w] -= 1
                     chosen -= 1
                     break
         if not chosen:

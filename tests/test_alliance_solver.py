@@ -25,7 +25,7 @@ from alliances.alliance_solver import (
 )
 from alliances.graph_core import Graph, VertexSet, degree_stats, girth
 
-from naive import naive_minimum, naive_minimum_witness
+from naive import naive_minimum, naive_minimum_witness, naive_satisfies
 from strategies import graph_and_proper_subset, graphs
 
 DEFENSIVE = spec_from_name("defensive")
@@ -269,11 +269,26 @@ class TestLimits:
         assert min_alliance_number(g, DEFENSIVE, SearchLimits(max_n=30)).value == 1
 
     def test_node_budget(self):
+        # The search refutes k = 5 and 6 in 16 nodes, and the 51st node,
+        # one past the budget, is spent at k = 7.
         g = generators.petersen()
         with pytest.raises(SearchBudgetExceeded) as exc_info:
             min_alliance_number(g, GLOBAL_STRONG_DUAL, SearchLimits(max_nodes=50))
-        assert exc_info.value.nodes_explored > 50 - 2
-        assert exc_info.value.cardinality >= 1
+        assert exc_info.value.nodes_explored == 51
+        assert exc_info.value.cardinality == 7
+
+    @pytest.mark.parametrize(("max_nodes", "cardinality"), [(100, 8), (151, 9)])
+    def test_node_budget_spans_every_cardinality_searched(self, max_nodes, cardinality):
+        # Petersen's global strong dual search spends 3, 13, 53 and 73 nodes
+        # refuting k = 5-8 and finds k = 9 after 10 more, 152 in all. The
+        # 73 nodes of k = 8 fit a budget of 100 and the 10 of k = 9 fit 151,
+        # so a count restarted at each k would not run out.
+        g = generators.petersen()
+        with pytest.raises(SearchBudgetExceeded) as exc_info:
+            min_alliance_number(g, GLOBAL_STRONG_DUAL, SearchLimits(max_nodes=max_nodes))
+        assert (exc_info.value.cardinality, exc_info.value.nodes_explored) == (cardinality, max_nodes + 1)
+        result = min_alliance_number(g, GLOBAL_STRONG_DUAL, SearchLimits(max_nodes=152))
+        assert (result.value, result.nodes_explored) == (9, 152)
 
     @pytest.mark.parametrize("limits", [{"max_n": 0}, {"max_n": -1}, {"max_nodes": 0}, {"max_nodes": -5}])
     def test_nonpositive_limits_are_rejected(self, limits):
@@ -312,7 +327,7 @@ class TestSearchTree:
         assert totals == expected
 
     @pytest.mark.parametrize(
-        ("spec", "expected"),
+        "case",
         [
             (
                 GraphFamilySpec("gnp", (22, 0.25), seed=0),
@@ -475,11 +490,12 @@ class TestSearchTree:
                 },
             ),
         ],
-        ids=str,
+        ids=lambda case: str(case[0]),
     )
-    def test_benchmark_order_node_counts_are_pinned(self, spec, expected):
+    def test_benchmark_order_node_counts_are_pinned(self, case):
         # The graphs the benchmark times (n = 14-24), which the small named
         # corpus does not reach: the tree walked there must not change.
+        spec, expected = case
         g = build(spec)
         nodes = {name: min_alliance_number(g, spec_from_name(name)).nodes_explored for name in VARIANTS}
         assert nodes == expected
@@ -515,6 +531,29 @@ class TestSearchTree:
             assert _search_exact(_tables(g, VARIANTS["domination"]), k, counter, None) is None
             assert counter["nodes"] == 0, k
         assert domination_number(g).value == 8
+
+    def test_every_cardinality_finds_the_smallest_satisfying_k_set(self):
+        # The contract at each k, not only at the minimum: the hit is the
+        # lexicographically smallest satisfying k-subset, or None when there
+        # is none, with and without orbit exclusion, over tables shared by
+        # every k as ``min_alliance_number`` shares them.
+        graphs = [g for n in range(1, 6) for g in _graphs_up_to_isomorphism(n)]
+        draws = ((7, 0.4, 1), (7, 0.6, 4), (8, 0.3, 2), (8, 0.5, 5), (9, 0.35, 6), (9, 0.5, 3))
+        graphs += [generators.gnp(n, p, seed=seed) for n, p, seed in draws]
+        for g in graphs:
+            for name, cond in VARIANTS.items():
+                first = {}
+                for k in range(1, g.n + 1):
+                    for subset in combinations(range(g.n), k):
+                        if naive_satisfies(g, set(subset), name):
+                            first[k] = sum(1 << v for v in subset)
+                            break
+                tables = _tables(g, cond)
+                for orbits in (None, g.orbits):
+                    for k in range(1, g.n + 1):
+                        hit = _search_exact(tables, k, {"nodes": 0}, None, orbits)
+                        assert hit == first.get(k), (g.adjacency, name, k, orbits is None)
+        assert len(graphs) == 52 + 6
 
 
 def _graphs_up_to_isomorphism(n: int) -> list[Graph]:
