@@ -5,7 +5,10 @@ extremes, algebraic connectivity, adjacency spectral radius, Laplacian
 spectral radius) into one closed-form theorem and rounds it up. The
 theorems on n, m and degrees alone take exact integer ceilings
 (``-(-a // b)`` and ``math.isqrt``); only the spectral theorems, whose
-inputs carry eigensolver error, take the tolerance-aware ``safe_ceil``.
+inputs carry eigensolver error, take the tolerance-aware ``safe_ceil``. The
+one spectral input without that error is the spectral radius of a d-regular
+graph, which :mod:`spectral` reports as d exactly, so the lambda theorems
+there are ceilings of exact quotients that ``SNAP`` never decides.
 
 ``evaluate_all`` walks one ordered table, ``_THEOREMS``. An entry names the
 theorem (a stable id used in reports), the targets it bounds, its formula,

@@ -5,6 +5,12 @@ accurate far below the integer-snapping threshold used downstream. It always
 solves to the off-diagonal residual ``DEFAULT_TOL`` within ``MAX_SWEEPS``
 sweeps. The suite checks it against an independent power iteration kept with
 the tests. Connectivity is a graph fact, read from ``graph_core.is_connected``.
+
+A d-regular graph takes one eigensolve, of its Laplacian: its adjacency
+spectral radius is d exactly (Perron–Frobenius; the all-ones vector is an
+eigenvector and no eigenvalue exceeds the maximum degree), so it is reported
+as ``float(d)`` without solving the adjacency matrix. Regularity is read from
+``graph_core.degree_stats``.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph
+from .graph_core import Graph, degree_stats
 
 __all__ = [
     "SpectralSummary",
@@ -46,6 +52,11 @@ class SpectralSummary:
     ``laplacian_spectrum`` is sorted ascending; its first entry is 0 up to
     the solver tolerance, and ``algebraic_connectivity`` is the second entry
     (positive iff the graph is connected).
+
+    ``sweeps`` and ``residual`` describe the solves that ran: the Jacobi
+    sweeps summed and the larger final off-diagonal residual. On a regular
+    graph only the Laplacian is solved, and ``spectral_radius`` is the
+    degree exactly.
     """
 
     spectral_radius: float
@@ -118,8 +129,10 @@ def jacobi_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, int, float]:
 def spectral_summary(g: Graph) -> SpectralSummary:
     """Compute the full Laplacian spectrum and adjacency spectral radius.
 
-    Both matrices are solved to the fixed off-diagonal residual
+    Every solve runs to the fixed off-diagonal residual
     ``DEFAULT_TOL``, which the integer snapping in :mod:`bounds` relies on.
+    The adjacency matrix is solved only when the graph is not regular; a
+    d-regular graph's spectral radius is d exactly.
 
     Raises :class:`UndefinedQuantityError` for graphs of order 1, where the
     algebraic connectivity does not exist. Disconnected graphs are fine: the
@@ -128,14 +141,21 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     if g.n < 2:
         raise UndefinedQuantityError("algebraic connectivity is undefined for graphs of order < 2")
     adjacency = adjacency_matrix(g)
-    lap_spectrum, lap_sweeps, lap_residual = jacobi_spectrum(np.diag(adjacency.sum(axis=1)) - adjacency)
-    adj_spectrum, adj_sweeps, adj_residual = jacobi_spectrum(adjacency)
-    # For a nonnegative symmetric matrix the largest eigenvalue is the spectral radius.
+    lap_spectrum, sweeps, residual = jacobi_spectrum(np.diag(adjacency.sum(axis=1)) - adjacency)
+    degree = degree_stats(g).regular
+    if degree is not None:
+        radius = float(degree)
+    else:
+        adj_spectrum, adj_sweeps, adj_residual = jacobi_spectrum(adjacency)
+        # For a nonnegative symmetric matrix the largest eigenvalue is the spectral radius.
+        radius = float(adj_spectrum[-1])
+        sweeps += adj_sweeps
+        residual = max(residual, adj_residual)
     return SpectralSummary(
-        spectral_radius=float(adj_spectrum[-1]),
+        spectral_radius=radius,
         algebraic_connectivity=float(lap_spectrum[1]),
         laplacian_radius=float(lap_spectrum[-1]),
         laplacian_spectrum=tuple(float(x) for x in lap_spectrum),
-        sweeps=lap_sweeps + adj_sweeps,
-        residual=max(lap_residual, adj_residual),
+        sweeps=sweeps,
+        residual=residual,
     )

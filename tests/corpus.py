@@ -26,6 +26,25 @@ def named_graphs() -> dict[str, Graph]:
     return corpus
 
 
+def regular_graphs() -> dict[str, Graph]:
+    """Regular graphs whose adjacency spectral radius is read off their
+    degree: vertex-transitive, random, disconnected and edgeless ones."""
+    corpus = {
+        spec: generators.build(generators.parse_family(spec))
+        for spec in (
+            "petersen",
+            "icosahedron",
+            "hypercube:4",
+            "cycle:24",
+            "complete_minus_matching:14",
+            "random_regular:22:3:seed=5",
+        )
+    }
+    corpus["two_c5"] = Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+    corpus["edgeless_3"] = Graph(3)
+    return corpus
+
+
 def random_connected_graphs(count: int, seed: int, min_n: int = 4, max_n: int = 10):
     """Seeded connected random graphs; rejection-samples density until connected."""
     rng = random.Random(seed)

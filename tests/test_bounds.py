@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,10 @@ from alliances.bounds import (
     safe_ceil,
     strong_defensive_connectivity_degree,
 )
-from alliances.graph_core import Graph
+from alliances.graph_core import Graph, degree_stats
 from alliances.spectral import spectral_summary
+
+from corpus import regular_graphs
 
 
 class TestSafeCeil:
@@ -167,6 +170,37 @@ class TestGlobalDual:
 
     def test_size_bound_k2(self):
         assert global_dual_size(2, 1)[0] == 1
+
+
+def _assert_lambda_rows_exact(g, monkeypatch):
+    # On a d-regular graph lambda = d exactly, so each lambda row is a ceiling
+    # of a rational in n, m and d. The rows must not move with SNAP set to 0:
+    # SNAP decides none of them.
+    n, m, d = g.n, g.m, degree_stats(g).regular
+    expected = {
+        ("globdef-lambda", "global_defensive"): math.ceil(Fraction(n, d + 2)),
+        ("globdef-lambda", "global_strong_defensive"): math.ceil(Fraction(n, d + 1)),
+        ("globdual-lambda", "global_dual"): math.ceil(Fraction(2 * m + n, 4 * (d + 1))),
+        ("globdual-lambda", "global_strong_dual"): math.ceil(Fraction(m + n, 2 * d + 1)),
+    }
+    summary = spectral_summary(g)
+    for snap in (bounds.SNAP, 0.0):
+        monkeypatch.setattr(bounds, "SNAP", snap)
+        rows = evaluate_all(g, summary, theorems=("globdef-lambda", "globdual-lambda"))
+        assert {(row.theorem, row.target): row.value for row in rows} == expected
+
+
+class TestLambdaRowsExactOnRegularGraphs:
+    @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in regular_graphs().items()])
+    def test_named(self, g, monkeypatch):
+        _assert_lambda_rows_exact(g, monkeypatch)
+
+    def test_atlas_orders_two_to_seven(self, monkeypatch):
+        nx = pytest.importorskip("networkx")
+        atlas = [h for h in nx.graph_atlas_g() if 2 <= h.number_of_nodes() <= 7 and nx.is_regular(h)]
+        assert len(atlas) == 25
+        for h in atlas:
+            _assert_lambda_rows_exact(Graph(h.number_of_nodes(), h.edges()), monkeypatch)
 
 
 def _least(holds, value):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from alliances import generators, spectral
-from alliances.graph_core import Graph, VertexSet, is_connected
+from alliances.graph_core import Graph, VertexSet, degree_stats, is_connected
 from alliances.spectral import (
     ConvergenceError,
     UndefinedQuantityError,
@@ -15,6 +15,7 @@ from alliances.spectral import (
     spectral_summary,
 )
 
+from corpus import regular_graphs
 from spectral_oracle import power_iteration_radius, rayleigh_indicator
 from strategies import graph_and_proper_subset, graphs
 
@@ -60,6 +61,24 @@ class TestKnownSpectra:
         for a, b in [(3, 3), (3, 6)]:
             s = spectral_summary(generators.complete_bipartite(a, b))
             assert s.spectral_radius == pytest.approx(math.sqrt(a * b), abs=TOL)
+
+
+class TestRegularGraphs:
+    # A d-regular graph's spectral radius is d exactly, with no adjacency solve.
+    @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in regular_graphs().items()])
+    def test_radius_is_the_degree_and_only_the_laplacian_is_solved(self, g):
+        d = degree_stats(g).regular
+        s = spectral_summary(g)
+        assert s.spectral_radius.hex() == float(d).hex()
+        a = adjacency_matrix(g)
+        assert abs(s.spectral_radius - max(np.linalg.eigvalsh(a))) < 1e-12
+        assert s.sweeps == jacobi_spectrum(np.diag(a.sum(axis=1)) - a)[1]
+
+    def test_irregular_graph_solves_both_matrices(self):
+        g = generators.grid(2, 3)
+        a = adjacency_matrix(g)
+        s = spectral_summary(g)
+        assert s.sweeps == jacobi_spectrum(np.diag(a.sum(axis=1)) - a)[1] + jacobi_spectrum(a)[1]
 
 
 class TestSummaryInvariants:
