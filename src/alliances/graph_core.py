@@ -218,6 +218,36 @@ def degree_stats(g: Graph) -> DegreeStats:
     return DegreeStats(lo, hi, lo if lo == hi else None)
 
 
+def _two_colouring(g: Graph) -> tuple[list[int], list[int]] | None:
+    """The two colour classes of a bipartite graph, each in index order, or
+    None as soon as a BFS meets an odd cycle.
+
+    Each component is coloured by a BFS from its least vertex. The first
+    class takes the smaller side of every component (the root's side on a
+    tie), so it holds at most ``n // 2`` vertices and no isolated vertex.
+    """
+    colour = [-1] * g.n
+    first = [False] * g.n
+    for root in range(g.n):
+        if colour[root] != -1:
+            continue
+        colour[root] = 0
+        component = [root]
+        for u in component:  # grows as the BFS appends to it
+            cu = colour[u]
+            for w in g.adjacency[u]:
+                if colour[w] == -1:
+                    colour[w] = 1 - cu
+                    component.append(w)
+                elif colour[w] == cu:
+                    return None
+        ones = sum(colour[v] for v in component)
+        side = 1 if 2 * ones < len(component) else 0
+        for v in component:
+            first[v] = colour[v] == side
+    return [v for v in range(g.n) if first[v]], [v for v in range(g.n) if not first[v]]
+
+
 def _refine(adjacency: tuple[tuple[int, ...], ...], colours: list[int], names: dict) -> list[int]:
     """Colour refinement: recolour every vertex by its colour and its
     neighbours' colours until no cell splits, so the colouring is equitable.

@@ -11,6 +11,14 @@ spectral radius is d exactly (Perron–Frobenius; the all-ones vector is an
 eigenvector and no eigenvalue exceeds the maximum degree), so it is reported
 as ``float(d)`` without solving the adjacency matrix. Regularity is read from
 ``graph_core.degree_stats``.
+
+Any other bipartite graph solves a half-order matrix in place of its
+adjacency matrix. With the vertices ordered by colour class, A = [[0, B],
+[Bᵀ, 0]], and λ(A)² is the largest eigenvalue of BBᵀ (Brouwer & Haemers,
+*Spectra of Graphs*, 2012, §1.3). BBᵀ is the integer matrix of
+common-neighbour counts between the vertices of the first class of
+``graph_core._two_colouring``, the smaller side of each component, so its
+order is at most n // 2; λ is the square root of its top eigenvalue.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph, degree_stats
+from .graph_core import Graph, _two_colouring, degree_stats
 
 __all__ = [
     "SpectralSummary",
@@ -56,7 +64,9 @@ class SpectralSummary:
     ``sweeps`` and ``residual`` describe the solves that ran: the Jacobi
     sweeps summed and the larger final off-diagonal residual. On a regular
     graph only the Laplacian is solved, and ``spectral_radius`` is the
-    degree exactly.
+    degree exactly. On any other bipartite graph the second solve is of
+    the common-neighbour matrix BBᵀ, whose top eigenvalue is λ², so its
+    residual is in units of λ², not of λ.
     """
 
     spectral_radius: float
@@ -131,8 +141,10 @@ def spectral_summary(g: Graph) -> SpectralSummary:
 
     Every solve runs to the fixed off-diagonal residual
     ``DEFAULT_TOL``, which the integer snapping in :mod:`bounds` relies on.
-    The adjacency matrix is solved only when the graph is not regular; a
-    d-regular graph's spectral radius is d exactly.
+    The spectral radius takes at most one more solve: none on a d-regular
+    graph, whose spectral radius is d exactly; on any other bipartite graph
+    one of BBᵀ, of order at most n // 2, where λ = √λ_max(BBᵀ); otherwise
+    one of the adjacency matrix.
 
     Raises :class:`UndefinedQuantityError` for graphs of order 1, where the
     algebraic connectivity does not exist. Disconnected graphs are fine: the
@@ -146,11 +158,18 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     if degree is not None:
         radius = float(degree)
     else:
-        adj_spectrum, adj_sweeps, adj_residual = jacobi_spectrum(adjacency)
-        # For a nonnegative symmetric matrix the largest eigenvalue is the spectral radius.
-        radius = float(adj_spectrum[-1])
-        sweeps += adj_sweeps
-        residual = max(residual, adj_residual)
+        colouring = _two_colouring(g)
+        if colouring is not None:
+            # Rows of A for the first class: their Gram matrix is BBᵀ.
+            rows = adjacency[colouring[0]]
+            spectrum, more_sweeps, more_residual = jacobi_spectrum(rows @ rows.T)
+            radius = math.sqrt(spectrum[-1])
+        else:
+            spectrum, more_sweeps, more_residual = jacobi_spectrum(adjacency)
+            # For a nonnegative symmetric matrix the largest eigenvalue is the spectral radius.
+            radius = float(spectrum[-1])
+        sweeps += more_sweeps
+        residual = max(residual, more_residual)
     return SpectralSummary(
         spectral_radius=radius,
         algebraic_connectivity=float(lap_spectrum[1]),

@@ -203,6 +203,34 @@ class TestLambdaRowsExactOnRegularGraphs:
             _assert_lambda_rows_exact(Graph(h.number_of_nodes(), h.edges()), monkeypatch)
 
 
+def test_rows_snap_decides_on_the_atlas_of_orders_two_to_six(monkeypatch):
+    # The applicable rows whose value moves when SNAP is set to 0: the
+    # ceilings the 1e-7 snapping decides rather than exact arithmetic. A
+    # theorem that raises with SNAP at 0 (``_nonnegative`` then rejects a
+    # float-noise negative mu) moves all of its rows. A change to the
+    # spectral quantities must not raise this count.
+    nx = pytest.importorskip("networkx")
+    atlas = [h for h in nx.graph_atlas_g() if 2 <= h.number_of_nodes() <= 6]
+    moved = rows = 0
+    for h in atlas:
+        g = Graph(h.number_of_nodes(), h.edges())
+        summary = spectral_summary(g)
+        for theorem in THEOREM_IDS:
+            values = [row.value for row in evaluate_all(g, summary, theorems=(theorem,))]
+            monkeypatch.setattr(bounds, "SNAP", 0.0)
+            try:
+                unsnapped = [row.value for row in evaluate_all(g, summary, theorems=(theorem,))]
+            except ValueError:
+                unsnapped = [None] * len(values)
+            monkeypatch.undo()
+            applicable = [(a, b) for a, b in zip(values, unsnapped) if a is not None]
+            rows += len(applicable)
+            moved += sum(a != b for a, b in applicable)
+    assert len(atlas) == 207
+    assert rows == 3445
+    assert moved == 77
+
+
 def _least(holds, value):
     """``value`` is the least integer k >= 0 for which ``holds(k)``."""
     return holds(value) and (value == 0 or not holds(value - 1))

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given
 
 from alliances import graph_core
-from alliances.graph_core import MAX_ORDER, Graph, VertexSet, _automorphism_orbits, degree_stats, girth, is_connected
+from alliances.graph_core import (
+    MAX_ORDER,
+    Graph,
+    VertexSet,
+    _automorphism_orbits,
+    _two_colouring,
+    degree_stats,
+    girth,
+    is_connected,
+)
 from alliances import generators
 
 from strategies import graph_and_proper_subset, graphs
@@ -147,6 +156,25 @@ class TestConnectivityAndDegrees:
         assert degree_stats(generators.petersen()) == (3, 3, 3)
         assert degree_stats(generators.complete_bipartite(3, 6)) == (3, 6, None)
         assert degree_stats(Graph(1)) == (0, 0, 0)
+
+
+class TestTwoColouring:
+    def test_odd_cycles_have_none(self):
+        assert _two_colouring(triangle()) is None
+        assert _two_colouring(generators.cycle(7)) is None
+        assert _two_colouring(generators.petersen()) is None
+
+    def test_first_class_is_the_smaller_side_of_each_component(self):
+        # A star on 0..3 centred at 0, a path 4-5-6 and the isolated vertex 7.
+        g = Graph(8, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)])
+        assert _two_colouring(g) == ([0, 5], [1, 2, 3, 4, 6, 7])
+
+    def test_a_tie_keeps_the_root_side(self):
+        assert _two_colouring(generators.path(4)) == ([0, 2], [1, 3])
+        assert _two_colouring(generators.complete(2)) == ([0], [1])
+
+    def test_edgeless(self):
+        assert _two_colouring(Graph(3)) == ([], [0, 1, 2])
 
 
 class TestCountingClaims:

@@ -1,8 +1,9 @@
 """Cross-checks against networkx, an implementation that shares no code
-with this package: girth, automorphism orbits, the graph6 encoding, order
-fields included, and every graph of order 1-6 in its atlas through
-``analyze``, with the bounds' tightness census over those graphs pinned.
-Test-only; skipped where networkx is not installed."""
+with this package: girth, automorphism orbits, two-colouring, the graph6
+encoding, order fields included, every graph of order 1-6 in its atlas and
+every tree of order 9-11 through ``analyze``, with the bounds' tightness
+census over each pinned. Test-only; skipped where networkx is not
+installed."""
 
 import re
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 from alliances import generators, graph_core, report
 from alliances.alliance_solver import VARIANTS
-from alliances.graph_core import MAX_ORDER, Graph, _automorphism_orbits, girth
+from alliances.graph_core import MAX_ORDER, Graph, _automorphism_orbits, _two_colouring, degree_stats, girth
 from alliances.io_formats import ParseError, parse_graph6, write_graph6
 
 from corpus import named_graphs
@@ -113,6 +114,26 @@ def test_a_spent_budget_leaves_orbits_within_the_true_ones(name, budget, monkeyp
         assert all(orbits[w] == orbits[v] for w in range(g.n) if (orbits[v] >> w) & 1)
 
 
+def test_two_colouring_matches_is_bipartite_on_the_atlas():
+    # Every graph of order 1-6: a colouring exactly when networkx finds the
+    # graph bipartite, and then two independent classes covering V, the
+    # first of at most n // 2 vertices.
+    atlas = [h for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= 6]
+    bipartite = 0
+    for h in atlas:
+        g = Graph(h.number_of_nodes(), h.edges())
+        colouring = _two_colouring(g)
+        assert (colouring is not None) == nx.is_bipartite(h), nx.to_graph6_bytes(h)
+        if colouring is not None:
+            bipartite += 1
+            assert sorted(colouring[0] + colouring[1]) == list(range(g.n))
+            assert len(colouring[0]) <= g.n // 2
+            for cls in colouring:
+                assert not any(g.has_edge(u, v) for u in cls for v in cls)
+    assert len(atlas) == 208
+    assert bipartite == 61  # 1, 2, 3, 7, 13 and 35 of orders 1-6 (OEIS A033995)
+
+
 @pytest.mark.parametrize("n", [1, 2, 30, 62, 63, 64, 100, 300])
 def test_graph6_round_trips_match_networkx(n):
     # 62 is the last one-byte order field; from 63 on the order takes the
@@ -211,3 +232,64 @@ def test_readme_census_table_is_the_pinned_census():
     table = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \| (\d+) \| (\d+) \|$", readme, re.MULTILINE)
     pinned = [(theorem, target, applicable, tight) for (theorem, target), (applicable, tight, _) in ATLAS_CENSUS.items()]
     assert [(theorem, target, int(applicable), int(tight)) for theorem, target, applicable, tight in table] == pinned
+
+
+# The tightness census over all 388 trees of order 9-11, as ``ATLAS_CENSUS``.
+# ``girth-regular-mu`` applies to no tree, and no tree is disconnected, so no
+# row is degenerate. ``def-mu`` on ``defensive`` is tight on every tree for a
+# trivial reason: a leaf is a defensive alliance, and a tree's algebraic
+# connectivity is at most 1, so the bound is 1.
+TREE_CENSUS = {
+    ("def-mu", "defensive"): (388, 388, 388),
+    ("def-mu", "strong_defensive"): (388, 336, 776),
+    ("strongdef-mu-delta", "strong_defensive"): (388, 0, 0),
+    ("globdef-lambda", "global_defensive"): (388, 3, 1159),
+    ("globdef-lambda", "global_strong_defensive"): (388, 0, 1460),
+    ("globdef-degree", "global_defensive"): (388, 24, 1347),
+    ("globdef-degree", "global_strong_defensive"): (388, 33, 1663),
+    ("globdef-degree-prior", "global_defensive"): (388, 36, 1394),
+    ("globoff-laplacian", "global_offensive"): (388, 34, 961),
+    ("globoff-laplacian", "global_strong_offensive"): (388, 4, 1708),
+    ("globoff-quadratic", "global_offensive"): (388, 24, 773),
+    ("globoff-quadratic", "global_strong_offensive"): (388, 0, 776),
+    ("globdual-lambda", "global_dual"): (388, 1, 1117),
+    ("globdual-lambda", "global_strong_dual"): (388, 0, 1566),
+    ("globdual-size", "global_dual"): (388, 3, 1164),
+    ("globdual-size", "global_strong_dual"): (388, 0, 1552),
+    ("dom-laplacian", "domination"): (388, 79, 961),
+}
+
+# Per lambda row, the orders with a tree on which it is tight, and how many.
+TREE_LAMBDA_TIGHT = {
+    ("globdef-lambda", "global_defensive"): {9: 2, 10: 1},
+    ("globdual-lambda", "global_dual"): {10: 1},
+}
+
+
+def test_every_tree_of_order_nine_to_eleven():
+    # ``analyze`` certifies every theorem on each tree. Each tree of order
+    # >= 3 is bipartite and irregular, so its spectral radius comes from the
+    # half-order matrix BB^T.
+    census: dict[tuple[str, str], tuple[int, int, int]] = {}
+    lambda_tight: dict[tuple[str, str], dict[int, int]] = {}
+    trees = {}
+    for n in (9, 10, 11):
+        trees[n] = 0
+        for h in nx.nonisomorphic_trees(n):
+            trees[n] += 1
+            g = Graph(n, h.edges())
+            assert _two_colouring(g) is not None and degree_stats(g).regular is None
+            result = report.analyze(g, specs=tuple(VARIANTS), deterministic=True)
+            for row in result["bounds"]:
+                assert not row.get("degenerate")
+                if not row["applicable"]:
+                    continue
+                key = row["theorem"], row["target"]
+                applicable, tight, total = census.get(key, (0, 0, 0))
+                census[key] = (applicable + 1, tight + (row["gap"] == 0), total + row["value"])
+                if key in TREE_LAMBDA_TIGHT and row["gap"] == 0:
+                    orders = lambda_tight.setdefault(key, {})
+                    orders[n] = orders.get(n, 0) + 1
+    assert trees == {9: 47, 10: 106, 11: 235}
+    assert census == TREE_CENSUS
+    assert lambda_tight == TREE_LAMBDA_TIGHT

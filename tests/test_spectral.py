@@ -75,10 +75,47 @@ class TestRegularGraphs:
         assert s.sweeps == jacobi_spectrum(np.diag(a.sum(axis=1)) - a)[1]
 
     def test_irregular_graph_solves_both_matrices(self):
-        g = generators.grid(2, 3)
+        # The bowtie has triangles, so neither shortcut applies.
+        g = generators.bowtie()
         a = adjacency_matrix(g)
         s = spectral_summary(g)
         assert s.sweeps == jacobi_spectrum(np.diag(a.sum(axis=1)) - a)[1] + jacobi_spectrum(a)[1]
+
+
+BIPARTITE = {
+    **{f"path:{n}": generators.path(n) for n in (3, 4, 7, 24)},
+    **{f"grid:{r}:{c}": generators.grid(r, c) for r, c in ((2, 3), (3, 3), (3, 4), (4, 7))},
+    **{f"star:{k}": generators.complete_bipartite(1, k) for k in (2, 4, 9)},
+    "complete_bipartite:3:7": generators.complete_bipartite(3, 7),
+    "complete_bipartite:5:2": generators.complete_bipartite(5, 2),
+    "path:5+star:3": Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (5, 7), (5, 8)]),
+    "isolated+path:4+isolated:2": Graph(7, [(1, 2), (2, 3), (3, 4)]),
+    "k2": generators.complete(2),
+}
+
+
+class TestBipartiteGraphs:
+    # An irregular bipartite graph's spectral radius is the square root of the
+    # top eigenvalue of BB^T, the common-neighbour counts of one colour class.
+    def test_grid_solves_its_laplacian_and_the_half_order_matrix(self):
+        # grid(3, 3): the class of 1, 3, 5, 7 is the smaller one. Each has
+        # three neighbours; 1 and 7, and 3 and 5, share only the centre, and
+        # every other pair shares two.
+        g = generators.grid(3, 3)
+        a = adjacency_matrix(g)
+        common = np.array([[3, 2, 2, 1], [2, 3, 1, 2], [2, 1, 3, 2], [1, 2, 2, 3]], dtype=float)
+        s = spectral_summary(g)
+        assert s.sweeps == jacobi_spectrum(np.diag(a.sum(axis=1)) - a)[1] + jacobi_spectrum(common)[1]
+        assert s.spectral_radius == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+
+    @pytest.mark.parametrize("name", list(BIPARTITE))
+    def test_radius_matches_eigvalsh(self, name):
+        g = BIPARTITE[name]
+        assert abs(spectral_summary(g).spectral_radius - np.linalg.eigvalsh(adjacency_matrix(g))[-1]) < 1e-12
+
+    def test_perfect_square_star_radius_is_exact(self):
+        # BB^T of K_{1,9} is the 1x1 matrix [9], which needs no rotation.
+        assert spectral_summary(generators.complete_bipartite(1, 9)).spectral_radius == 3.0
 
 
 class TestSummaryInvariants:
