@@ -6,9 +6,10 @@ the vertex's in-neighbor count and its degree:
   * member of a defensive alliance: 2*in >= deg - 1 (strong: 2*in >= deg)
   * outsider facing an offensive alliance: 2*in >= deg + 1 (strong: deg + 2)
 
-Offensive conditions apply to the whole outside for global alliances and
-only to boundary vertices otherwise. A dual alliance is a defensive
-alliance that is also a global offensive alliance (domination follows).
+The computed offensive forms are the global ones, whose condition applies
+to the whole outside; they are the ones the paper bounds. A dual alliance
+is a defensive alliance that is also a global offensive alliance
+(domination follows).
 All universally quantified conditions are vacuously true over empty
 ranges, so the full vertex set satisfies every variant and minima exist.
 
@@ -83,47 +84,36 @@ class _Conditions:
     """Per-vertex integer thresholds for one alliance variant."""
 
     member_slack: int | None  # member v needs 2*in >= deg(v) + member_slack
-    outside_need: int | None  # constrained outsider v needs 2*in >= deg(v) + outside_need
-    outside_all: bool  # outsider condition applies to all of V\S, not just the boundary
+    outside_need: int | None  # every outsider v needs 2*in >= deg(v) + outside_need
     dominate: bool  # every outsider needs at least one neighbor in S
 
 
-# Every variant the solver knows, in the order ``analyze --all`` reports
-# them. A global offensive (or dual) outsider needs 2*in >= deg+1, which
-# already forces a member neighbor, so only the global defensive rows set
-# ``dominate``. Domination is not an alliance, but a row of the same form,
-# and comes last.
+# Every variant the solver knows, in the order ``analyze`` reports them;
+# each is the target of some theorem in ``bounds``. A global offensive (or
+# dual) outsider needs 2*in >= deg+1, which already forces a member
+# neighbor, so only the global defensive rows set ``dominate``. Domination
+# is not an alliance, but a row of the same form, and comes last.
 VARIANTS: dict[str, _Conditions] = {
-    "defensive": _Conditions(-1, None, False, False),
-    "strong_defensive": _Conditions(0, None, False, False),
-    "global_defensive": _Conditions(-1, None, False, True),
-    "global_strong_defensive": _Conditions(0, None, False, True),
-    "global_offensive": _Conditions(None, 1, True, False),
-    "global_strong_offensive": _Conditions(None, 2, True, False),
-    "global_dual": _Conditions(-1, 1, True, False),
-    "global_strong_dual": _Conditions(0, 2, True, False),
-    "offensive": _Conditions(None, 1, False, False),
-    "strong_offensive": _Conditions(None, 2, False, False),
-    "domination": _Conditions(None, None, False, True),
+    "defensive": _Conditions(-1, None, False),
+    "strong_defensive": _Conditions(0, None, False),
+    "global_defensive": _Conditions(-1, None, True),
+    "global_strong_defensive": _Conditions(0, None, True),
+    "global_offensive": _Conditions(None, 1, False),
+    "global_strong_offensive": _Conditions(None, 2, False),
+    "global_dual": _Conditions(-1, 1, False),
+    "global_strong_dual": _Conditions(0, 2, False),
+    "domination": _Conditions(None, None, True),
 }
 
 
 def _implies(x: _Conditions, y: _Conditions) -> bool:
     """Whether every set that meets ``x``'s conditions meets ``y``'s."""
     # An outsider that needs 2*in >= deg + c with c > 0 has a member
-    # neighbor, so such a condition over all of V\S dominates, and a
-    # dominating set's boundary is all of V\S.
-    dominates = x.dominate or (x.outside_all and x.outside_need is not None and x.outside_need > 0)
+    # neighbor, so such a condition dominates.
+    dominates = x.dominate or (x.outside_need is not None and x.outside_need > 0)
     return (
         (y.member_slack is None or (x.member_slack is not None and x.member_slack >= y.member_slack))
-        and (
-            y.outside_need is None
-            or (
-                x.outside_need is not None
-                and x.outside_need >= y.outside_need
-                and (x.outside_all or x.dominate or not y.outside_all)
-            )
-        )
+        and (y.outside_need is None or (x.outside_need is not None and x.outside_need >= y.outside_need))
         and (dominates or not y.dominate)
     )
 
@@ -199,9 +189,8 @@ def _satisfies(g: Graph, smask: int, cond: _Conditions) -> bool:
         else:
             if cond.dominate and inside == 0:
                 return False
-            if cond.outside_need is not None and (cond.outside_all or inside > 0):
-                if 2 * inside < len(g.adjacency[v]) + cond.outside_need:
-                    return False
+            if cond.outside_need is not None and 2 * inside < len(g.adjacency[v]) + cond.outside_need:
+                return False
     return True
 
 
@@ -228,8 +217,7 @@ class _Tables(NamedTuple):
     masks: tuple[int, ...]
     closed: list[int]  # masks[v] | 1 << v: an undecided vertex's candidates
     need_in: list[int]  # in-neighbors a member needs
-    need_touched: list[int]  # ... a non-member with a member neighbor
-    need_out: list[int]  # ... a non-member without one
+    need_out: list[int]  # ... a non-member
     per_member: int  # Δ + T, the most one new member lowers the deficit
     earlier: list[tuple[int, ...]]  # neighbors below v: decided when v is
 
@@ -244,17 +232,15 @@ def _tables(g: Graph, cond: _Conditions) -> _Tables:
     dominate = int(cond.dominate)
     # 2*in >= deg + c is in >= ceil((deg + c) / 2).
     need_in = [0 if member_slack is None else max(0, -(-(d + member_slack) // 2)) for d in degree]
-    need_touched = [max(dominate, 0 if outside_need is None else -(-(d + outside_need) // 2)) for d in degree]
-    need_out = need_touched if cond.outside_all else [dominate] * n
+    need_out = [max(dominate, 0 if outside_need is None else -(-(d + outside_need) // 2)) for d in degree]
     return _Tables(
         n=n,
         adjacency=adjacency,
         masks=masks,
         closed=[m | 1 << v for v, m in enumerate(masks)],
         need_in=need_in,
-        need_touched=need_touched,
         need_out=need_out,
-        per_member=max(degree) + max(need_touched),
+        per_member=max(degree) + max(need_out),
         earlier=[tuple(w for w in adjacency[v] if w < v) for v in range(n)],
     )
 
@@ -271,10 +257,9 @@ def _search_exact(
     Vertices are decided in/out in index order, in-branch first, so the
     first hit is the lexicographically smallest satisfying k-subset. Each
     vertex's thresholds are turned into in-neighbor counts once per variant
-    (``_tables``): ``need_in`` as a member, ``need_touched`` as a non-member
-    with a member neighbor and ``need_out`` as one without. A vertex's
-    *need* is the one of these that fits its membership, less its
-    in-count; an undecided vertex counts as a non-member. The search writes
+    (``_tables``): ``need_in`` as a member and ``need_out`` as a non-member.
+    A vertex's *need* is the one of these that fits its membership, less
+    its in-count; an undecided vertex counts as a non-member. The search writes
     only two values per vertex, its in-count and its ``member`` flag; the
     tables are read-only. The search stack is the decided prefix ``v < u``
     together with ``member``, the one record of which vertices joined, so
@@ -296,13 +281,11 @@ def _search_exact(
     fails at the first of three tests:
 
     * the potential check of every decided vertex. A join moves no decided
-      neighbor's potential (one more member neighbor, one fewer undecided),
-      so only u and, for ``offensive`` and ``strong_offensive``, a
-      non-member it touches for the first time (whose need rises to
-      ``need_touched``) can fail it;
+      neighbor's potential (one more member neighbor, one fewer undecided)
+      and no need but u's, so only u can fail it;
     * the deficit bound: D sums the positive needs. A new member raises
       ``in`` of at most Δ (the maximum degree) vertices by one and drops its
-      own non-member need of at most T (the largest ``need_touched``), so
+      own non-member need of at most T (the largest ``need_out``), so
       ``D > r*(Δ+T)`` is hopeless. For domination D is the number of
       undominated vertices and T = 1, the coverage bound gamma >= n/(Δ+1);
     * the packing bound: a vertex's candidates are its undecided neighbors,
@@ -331,7 +314,7 @@ def _search_exact(
     k-set, so the first hit and the witness are unchanged; only the node
     count drops.
     """
-    n, adjacency, masks, closed, need_in, need_touched, need_out, per_member, earlier = t
+    n, adjacency, masks, closed, need_in, need_out, per_member, earlier = t
     member = [False] * n
     in_count = [0] * n
     orbit: Sequence[int] | None = None if orbits else [1 << v for v in range(n)]
@@ -344,7 +327,7 @@ def _search_exact(
     # per-vertex loops. The node count is a local, written back on exit.
     def bounds_ok(
         first: int, r: int, n=n, full=(1 << n) - 1, in_count=in_count, member=member, masks=masks,
-        closed=closed, need_in=need_in, need_touched=need_touched, need_out=need_out, per_member=per_member,
+        closed=closed, need_in=need_in, need_out=need_out, per_member=per_member,
     ) -> bool:
         # Vertices before ``first`` are decided, the rest undecided.
         rest = full >> first << first
@@ -354,10 +337,7 @@ def _search_exact(
         packed = 0
         for v in range(first):
             c = in_count[v]
-            if member[v]:
-                need = need_in[v] - c
-            else:
-                need = (need_touched[v] if c else need_out[v]) - c
+            need = (need_in[v] if member[v] else need_out[v]) - c
             if need > 0:
                 candidates = masks[v] & rest
                 deficit += need
@@ -370,7 +350,7 @@ def _search_exact(
                         return False
         for v in range(first, n):
             c = in_count[v]
-            need = (need_touched[v] if c else need_out[v]) - c
+            need = need_out[v] - c
             if need > 0:
                 deficit += need
                 if deficit > cap:
@@ -421,16 +401,11 @@ def _search_exact(
                     in_count[w] -= 1
             else:
                 # Only u and its decided neighbors lose potential.
-                c = in_count[u]
-                ok = c + (masks[u] >> shift).bit_count() >= (need_touched[u] if c else need_out[u])
+                ok = in_count[u] + (masks[u] >> shift).bit_count() >= need_out[u]
                 if ok:
                     for w in earlier[u]:
-                        c = in_count[w]
-                        if member[w]:
-                            need = need_in[w]
-                        else:
-                            need = need_touched[w] if c else need_out[w]
-                        if c + (masks[w] >> shift).bit_count() < need:
+                        need = need_in[w] if member[w] else need_out[w]
+                        if in_count[w] + (masks[w] >> shift).bit_count() < need:
                             ok = False
                             break
                 if ok:

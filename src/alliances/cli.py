@@ -5,8 +5,8 @@ string with the grammar ``name[:p1[:p2]][:seed=S]``, for example
 ``petersen``, ``complete:6``, ``grid:2:3``, ``gnp:20:0.3:seed=7``.
 
 ``--specs`` and ``--theorems`` take comma lists; a list that is given but
-empty (``""`` or ``","``) selects nothing, and ``--specs`` and ``--all``
-exclude each other.
+empty (``""`` or ``","``) selects nothing. Without ``--specs``, ``analyze``
+computes every exact value.
 
 Exit codes: 0 success, 1 standard output closed by its reader, 2 parse/usage
 error, 3 resource limit (an order above the solver ceiling ``--max-n``, which
@@ -24,7 +24,7 @@ import os
 import sys
 from typing import Iterable, Iterator
 
-from .alliance_solver import ResourceLimitError, SearchLimits, VARIANTS
+from .alliance_solver import ResourceLimitError, SearchLimits
 from .generators import build, parse_family
 from .graph_core import Graph
 from .io_formats import FORMATS, ParseError, parse_graph, write_edgelist, write_graph6
@@ -71,9 +71,7 @@ def _comma_list(value: str | None) -> tuple[str, ...] | None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     graph, labels, label = _load_source(args.source, args.input_format)
     specs = _comma_list(args.specs)
-    if args.all:
-        specs = tuple(VARIANTS)
-    elif specs is not None:
+    if specs is not None:
         specs = tuple(EXACT_SPECS.get(token, token) for token in specs)  # analyze names an unknown one
     report = analyze(
         graph,
@@ -129,9 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze_p = sub.add_parser("analyze", help="analyze one graph")
     analyze_p.add_argument("source", help="file path, '-' for stdin, or a family spec string")
-    which = analyze_p.add_mutually_exclusive_group()
-    which.add_argument("--specs", help="comma list of alliance spec tokens (e.g. def,strongdef,dom)")
-    which.add_argument("--all", action="store_true", help="compute every exact value")
+    analyze_p.add_argument("--specs", help="comma list of alliance spec tokens (e.g. def,strongdef,dom)")
     analyze_p.add_argument("--theorems", help="comma list of theorem ids to evaluate")
     analyze_p.add_argument("--bounds-only", action="store_true", help="skip exact solving")
     analyze_p.add_argument("--format", choices=("json", "csv"), default="json")

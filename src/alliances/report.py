@@ -47,14 +47,11 @@ EXACT_SPECS: dict[str, str] = {
     "globstrongoff": "global_strong_offensive",
     "globdual": "global_dual",
     "globstrongdual": "global_strong_dual",
-    "off": "offensive",
-    "strongoff": "strong_offensive",
     "dom": "domination",
 }
 
-# By default only the values some theorem bounds are computed; the
-# non-global offensive numbers are computed only on request.
-DEFAULT_SPECS: tuple[str, ...] = tuple(name for name in VARIANTS if name in bounds_mod.TARGETS)
+# By default every row is computed: each is the target of some theorem.
+DEFAULT_SPECS: tuple[str, ...] = tuple(VARIANTS)
 
 
 class SoundnessViolation(RuntimeError):
@@ -207,7 +204,7 @@ def survey_rows(
     :class:`ResourceLimitError`. ``analyze`` certifies each sample and
     raises :class:`SoundnessViolation` the moment an applicable bound
     exceeds its exact target; the message names the sample's family spec
-    with its seed, which ``alliance analyze <spec> --all`` replays. A row's
+    with its seed, which ``alliance analyze <spec>`` replays. A row's
     ``violations`` is therefore always 0.
     """
     if count < 1:

@@ -16,7 +16,7 @@ def _neighbors(g, v):
 # kind -> the flag prefixes its names take
 _KINDS = {
     "defensive": ((), ("strong",), ("global",), ("global", "strong")),
-    "offensive": ((), ("strong",), ("global",), ("global", "strong")),
+    "offensive": (("global",), ("global", "strong")),
     "dual": (("global",), ("global", "strong")),
     "domination": ((),),
 }
@@ -48,11 +48,7 @@ def naive_satisfies(g, members: set, name: str) -> bool:
                     return False
     if kind in ("offensive", "dual"):
         need = 2 if strong else 1
-        if global_ or kind == "dual":
-            scope = outside
-        else:
-            scope = {v for v in outside if _neighbors(g, v) & members}
-        for v in scope:
+        for v in outside:
             inside = len(_neighbors(g, v) & members)
             out = len(_neighbors(g, v) & outside)
             if inside < out + need:

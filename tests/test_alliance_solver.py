@@ -53,6 +53,9 @@ class TestAllianceSpec:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             spec_from_name("defensive-ish")
+        # No theorem bounds the boundary-only offensive number, so it is no row.
+        with pytest.raises(ValueError):
+            AllianceSpec("offensive")
 
     def test_domination_is_not_an_alliance(self):
         # It is a row of the same table, though, and so a spec like the
@@ -101,12 +104,6 @@ class TestPredicates:
             full = VertexSet(range(g.n))
             for name in VARIANTS:
                 assert is_alliance(g, full, spec_from_name(name))
-
-    def test_component_is_offensive_with_empty_boundary(self):
-        g = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
-        # {3, 4} has an empty boundary, so the offensive condition is vacuous
-        assert is_alliance(g, VertexSet([3, 4]), spec_from_name("offensive"))
-        assert is_alliance(g, VertexSet([3, 4]), spec_from_name("strong_offensive"))
 
     @given(graph_and_proper_subset())
     @settings(max_examples=100, deadline=None)
@@ -312,8 +309,6 @@ class TestSearchTree:
             "strong_defensive": 559,
             "global_defensive": 798,
             "global_strong_defensive": 763,
-            "offensive": 679,
-            "strong_offensive": 1051,
             "global_offensive": 341,
             "global_strong_offensive": 671,
             "global_dual": 415,
@@ -336,8 +331,6 @@ class TestSearchTree:
                     "strong_defensive": 22,
                     "global_defensive": 7051,
                     "global_strong_defensive": 7795,
-                    "offensive": 22,
-                    "strong_offensive": 22,
                     "global_offensive": 2786,
                     "global_strong_offensive": 3975,
                     "global_dual": 6955,
@@ -352,8 +345,6 @@ class TestSearchTree:
                     "strong_defensive": 165,
                     "global_defensive": 4436,
                     "global_strong_defensive": 38601,
-                    "offensive": 71,
-                    "strong_offensive": 15721,
                     "global_offensive": 2441,
                     "global_strong_offensive": 1281,
                     "global_dual": 19664,
@@ -368,8 +359,6 @@ class TestSearchTree:
                     "strong_defensive": 182,
                     "global_defensive": 995,
                     "global_strong_defensive": 4820,
-                    "offensive": 5959,
-                    "strong_offensive": 7148,
                     "global_offensive": 5355,
                     "global_strong_offensive": 647,
                     "global_dual": 2337,
@@ -384,8 +373,6 @@ class TestSearchTree:
                     "strong_defensive": 69,
                     "global_defensive": 1836,
                     "global_strong_defensive": 1836,
-                    "offensive": 300,
-                    "strong_offensive": 300,
                     "global_offensive": 186,
                     "global_strong_offensive": 186,
                     "global_dual": 948,
@@ -400,8 +387,6 @@ class TestSearchTree:
                     "strong_defensive": 48,
                     "global_defensive": 1538,
                     "global_strong_defensive": 1538,
-                    "offensive": 8348,
-                    "strong_offensive": 8348,
                     "global_offensive": 35,
                     "global_strong_offensive": 35,
                     "global_dual": 59,
@@ -416,8 +401,6 @@ class TestSearchTree:
                     "strong_defensive": 153,
                     "global_defensive": 951,
                     "global_strong_defensive": 1401,
-                    "offensive": 1508,
-                    "strong_offensive": 2344,
                     "global_offensive": 1528,
                     "global_strong_offensive": 318,
                     "global_dual": 1587,
@@ -432,8 +415,6 @@ class TestSearchTree:
                     "strong_defensive": 651,
                     "global_defensive": 637,
                     "global_strong_defensive": 637,
-                    "offensive": 856,
-                    "strong_offensive": 856,
                     "global_offensive": 776,
                     "global_strong_offensive": 776,
                     "global_dual": 946,
@@ -448,8 +429,6 @@ class TestSearchTree:
                     "strong_defensive": 116,
                     "global_defensive": 512,
                     "global_strong_defensive": 481,
-                    "offensive": 1740,
-                    "strong_offensive": 1694,
                     "global_offensive": 1384,
                     "global_strong_offensive": 264,
                     "global_dual": 1549,
@@ -464,8 +443,6 @@ class TestSearchTree:
                     "strong_defensive": 59,
                     "global_defensive": 2492,
                     "global_strong_defensive": 2179,
-                    "offensive": 24797,
-                    "strong_offensive": 24865,
                     "global_offensive": 35,
                     "global_strong_offensive": 37,
                     "global_dual": 63,
@@ -480,8 +457,6 @@ class TestSearchTree:
                     "strong_defensive": 131,
                     "global_defensive": 908,
                     "global_strong_defensive": 626,
-                    "offensive": 7472,
-                    "strong_offensive": 4309,
                     "global_offensive": 2249,
                     "global_strong_offensive": 766,
                     "global_dual": 3585,
@@ -576,12 +551,10 @@ class TestImplications:
             "strong_defensive": ("defensive",),
             "global_defensive": ("defensive", "domination"),
             "global_strong_defensive": ("defensive", "strong_defensive", "global_defensive", "domination"),
-            "global_offensive": ("offensive", "domination"),
-            "global_strong_offensive": ("global_offensive", "offensive", "strong_offensive", "domination"),
-            "global_dual": ("defensive", "global_defensive", "global_offensive", "offensive", "domination"),
+            "global_offensive": ("domination",),
+            "global_strong_offensive": ("global_offensive", "domination"),
+            "global_dual": ("defensive", "global_defensive", "global_offensive", "domination"),
             "global_strong_dual": tuple(name for name in VARIANTS if name != "global_strong_dual"),
-            "offensive": (),
-            "strong_offensive": ("offensive",),
             "domination": (),
         }
 

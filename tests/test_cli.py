@@ -72,7 +72,7 @@ class TestFamilyGrammar:
 
 class TestAnalyze:
     def test_petersen_all(self, capsys):
-        code, out, _ = run(capsys, "analyze", "petersen", "--all", "--deterministic")
+        code, out, _ = run(capsys, "analyze", "petersen", "--deterministic")
         assert code == 0
         report = json.loads(out)
         assert report["graph"]["girth"] == 5
@@ -83,7 +83,7 @@ class TestAnalyze:
         assert bounds[("globoff-laplacian", "global_offensive")]["value"] == 4
         assert bounds[("globoff-laplacian", "global_strong_offensive")]["value"] == 6
         assert bounds[("girth-regular-mu", "girth")]["gap"] == 0
-        assert report["exact"]["offensive"]["value"] >= 1
+        assert report["exact"]["domination"]["value"] == 3
         assert "generated_at" not in report
         assert all(row["gap"] >= 0 for row in report["bounds"] if "gap" in row)
 
@@ -129,8 +129,8 @@ class TestAnalyze:
         assert report["bounds"]
 
     def test_deterministic_output_is_byte_identical(self, capsys):
-        _, first, _ = run(capsys, "analyze", "gnp:8:0.5:seed=9", "--all", "--deterministic")
-        _, second, _ = run(capsys, "analyze", "gnp:8:0.5:seed=9", "--all", "--deterministic")
+        _, first, _ = run(capsys, "analyze", "gnp:8:0.5:seed=9", "--deterministic")
+        _, second, _ = run(capsys, "analyze", "gnp:8:0.5:seed=9", "--deterministic")
         assert first == second
 
     def test_report_round_trips_through_json(self, capsys):
@@ -147,9 +147,9 @@ class TestAnalyze:
         # cycle:6 has a reason with commas, a,b.edges a label with one.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "a,b.edges").write_text("x y\ny z\nz w\n")
-        code, out, _ = run(capsys, "analyze", source, "--all", "--format", "csv", "--deterministic")
+        code, out, _ = run(capsys, "analyze", source, "--format", "csv", "--deterministic")
         assert code == 0
-        _, text, _ = run(capsys, "analyze", source, "--all", "--deterministic")
+        _, text, _ = run(capsys, "analyze", source, "--deterministic")
         report = json.loads(text)
         assert out.startswith("label,theorem,target,bound,applicable,degenerate,exact,gap,reason\n")
         rows = list(csv.reader(out.splitlines()))
@@ -280,11 +280,12 @@ class TestAnalyze:
         assert not report[field]
         assert report["bounds" if field == "exact" else "exact"]  # the other list keeps its default
 
-    def test_all_and_specs_exclude_each_other(self, capsys):
+    def test_all_is_not_an_option(self, capsys):
+        # Every row is computed by default, so there is nothing for --all to add.
         with pytest.raises(SystemExit) as exc_info:
-            main(["analyze", "petersen", "--all", "--specs", "def"])
+            main(["analyze", "petersen", "--all"])
         assert exc_info.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
+        assert "unrecognized arguments: --all" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -347,16 +348,20 @@ class TestAnalyze:
         assert out == ""
         assert "max_n must be at least 1" in err
 
-    def test_all_reports_every_variant_in_table_order(self, capsys):
+    def test_default_reports_every_variant_in_table_order(self, capsys):
         assert tuple(EXACT_SPECS.values()) == tuple(VARIANTS)
-        code, out, _ = run(capsys, "analyze", "bowtie", "--all", "--deterministic")
+        code, out, _ = run(capsys, "analyze", "bowtie", "--deterministic")
         assert code == 0
         assert tuple(json.loads(out)["exact"]) == tuple(VARIANTS)
 
     def test_bad_spec_token_exits_2(self, capsys):
-        code, _, err = run(capsys, "analyze", "petersen", "--specs", "def,bogus")
-        assert code == 2
-        assert "bogus" in err
+        # No theorem bounds the boundary-only offensive numbers, so neither
+        # their tokens nor their names select a row.
+        for token in ("bogus", "off", "strongoff", "offensive", "strong_offensive"):
+            code, out, err = run(capsys, "analyze", "petersen", "--specs", f"def,{token}")
+            assert code == 2
+            assert out == ""
+            assert f"unknown alliance spec {token!r}; valid names: {', '.join(VARIANTS)}" in err
 
     def test_violation_exits_4_with_graph(self, capsys, planted_violation):
         code, out, err = run(capsys, "analyze", "complete:5")

@@ -75,11 +75,8 @@ _MAX_N = st.integers(-1, 30).map(str)
 @st.composite
 def _analyze_options(draw):
     options = []
-    which = draw(_mostly(st.sampled_from(["neither", "specs", "all"]), st.just("both")))  # both is a usage error
-    if which in ("specs", "both"):
+    if draw(st.booleans()):
         options += ["--specs", draw(_SPECS)]
-    if which in ("all", "both"):
-        options.append("--all")
     if draw(st.booleans()):
         options += ["--theorems", draw(_THEOREMS)]
     if draw(st.booleans()):

@@ -15,7 +15,7 @@ def _between(start: str, end: str) -> str:
 
 
 def test_spec_tokens_match_exact_specs():
-    text = _between("Alliance spec tokens for `--specs`, in the order `--all` reports them:", "Without")
+    text = _between("Alliance spec tokens for `--specs`, in the order `analyze` reports them:", "Without")
     assert re.findall(r"`([^`]+)`", text) == list(report.EXACT_SPECS)
 
 

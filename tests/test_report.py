@@ -3,13 +3,20 @@ from pathlib import Path
 
 import pytest
 
-from alliances import generators, report
-from alliances.alliance_solver import ResourceLimitError
+from alliances import bounds, generators, report
+from alliances.alliance_solver import VARIANTS, ResourceLimitError
 from alliances.generators import parse_family
 
 
 def _fail(*args, **kwargs):
     raise AssertionError("ran after the request should have been refused")
+
+
+def test_every_row_is_a_theorem_target_and_computed_by_default():
+    # A row that no theorem bounds would need its own decision about the
+    # default; none exists, so the default is every row.
+    assert set(VARIANTS) == bounds.TARGETS - {"girth"}
+    assert report.DEFAULT_SPECS == tuple(VARIANTS)
 
 
 def test_order_above_ceiling_is_refused_before_girth_and_spectra(monkeypatch):
