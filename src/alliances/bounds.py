@@ -4,11 +4,16 @@ Each evaluator substitutes graph quantities (order n, size m, degree
 extremes, algebraic connectivity, adjacency spectral radius, Laplacian
 spectral radius) into one closed-form theorem and rounds it up. The
 theorems on n, m and degrees alone take exact integer ceilings
-(``-(-a // b)`` and ``math.isqrt``); only the spectral theorems, whose
-inputs carry eigensolver error, take the tolerance-aware ``safe_ceil``. The
-one spectral input without that error is the spectral radius of a d-regular
-graph, which :mod:`spectral` reports as d exactly, so the lambda theorems
-there are ceilings of exact quotients that ``SNAP`` never decides.
+(``-(-a // b)`` and ``math.isqrt``). Each spectral theorem is a Möbius map
+(a*x + b)/(c*x + d) of one eigenvalue x, with integer coefficients from n,
+m and the degrees; ``_spectral_ceil`` is the one place that rounds them. It
+evaluates the normal form a/c + (b*c - a*d)/(c*(c*x + d)), which reads x
+once, so eigensolver error enters one division rather than a numerator and
+a denominator that could err apart, and takes the tolerance-aware
+``safe_ceil``. The one spectral input without that error is the spectral
+radius of a d-regular graph, which :mod:`spectral` reports as d exactly, so
+the lambda theorems there stay ceilings of exact quotients that ``SNAP``
+never decides.
 
 ``evaluate_all`` walks one ordered table, ``_THEOREMS``. An entry names the
 theorem (a stable id used in reports), the targets it bounds, its formula,
@@ -91,11 +96,19 @@ def _ceil_sqrt(x: int) -> int:
     return math.isqrt(x - 1) + 1
 
 
-def _nonnegative(value: float, label: str) -> float:
-    """Clamp tiny negative eigensolver noise to zero; reject real negatives."""
-    if value < -SNAP:
-        raise ValueError(f"{label} must be nonnegative, got {value}")
-    return max(value, 0.0)
+def _spectral_ceil(x: float, label: str, a: int, b: int, c: int, d: int) -> int:
+    """ceil((a*x + b)/(c*x + d)) for one eigenvalue x, clamped at zero.
+
+    Rejects x < -SNAP and reads a smaller negative (eigensolver noise) as 0;
+    rejects a denominator c*x + d <= 0. Evaluates the normal form of the
+    module docstring; c is 1, 2 or 4, so a/c and c*x are exact.
+    """
+    if x < -SNAP:
+        raise ValueError(f"{label} must be nonnegative, got {x}")
+    denominator = c * max(x, 0.0) + d
+    if denominator <= 0:
+        raise ValueError(f"bound requires a positive {label}")
+    return max(0, safe_ceil(a / c + (b * c - a * d) / (c * denominator)))
 
 
 def defensive_connectivity(n: int, algebraic_connectivity: float) -> tuple[int, int]:
@@ -103,27 +116,21 @@ def defensive_connectivity(n: int, algebraic_connectivity: float) -> tuple[int, 
     on the strong defensive alliance number, mu the algebraic connectivity."""
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
-    mu = _nonnegative(algebraic_connectivity, "algebraic connectivity")
-    return (
-        safe_ceil(n * mu / (n + mu)),
-        safe_ceil(n * (mu + 1.0) / (n + mu)),
-    )
+    mu, label = algebraic_connectivity, "algebraic connectivity"
+    return _spectral_ceil(mu, label, n, 0, 1, n), _spectral_ceil(mu, label, n, n, 1, n)
 
 
 def strong_defensive_connectivity_degree(n: int, algebraic_connectivity: float, max_degree: int) -> int:
     """Bound ceil(n*(mu - floor(Delta/2))/mu) on the strong defensive alliance
     number; only meaningful for connected graphs, where mu > 0."""
-    mu = _nonnegative(algebraic_connectivity, "algebraic connectivity")
-    if mu <= 0:
-        raise ValueError("bound requires positive algebraic connectivity (connected graph)")
-    return max(0, safe_ceil(n * (mu - max_degree // 2) / mu))
+    return _spectral_ceil(algebraic_connectivity, "algebraic connectivity", n, -n * (max_degree // 2), 1, 0)
 
 
 def global_defensive_spectral_radius(n: int, spectral_radius: float) -> tuple[int, int]:
     """Bounds ceil(n/(lambda+2)) and ceil(n/(lambda+1)) on the global (strong)
     defensive alliance numbers, lambda the adjacency spectral radius."""
-    lam = _nonnegative(spectral_radius, "spectral radius")
-    return safe_ceil(n / (lam + 2.0)), safe_ceil(n / (lam + 1.0))
+    lam, label = spectral_radius, "spectral radius"
+    return _spectral_ceil(lam, label, 0, n, 1, 2), _spectral_ceil(lam, label, 0, n, 1, 1)
 
 
 def global_defensive_degree(n: int, max_degree: int) -> tuple[int, int]:
@@ -141,25 +148,19 @@ def global_defensive_degree_prior(n: int, max_degree: int) -> int:
 def girth_regular_connectivity(n: int, algebraic_connectivity: float, degree: int) -> int:
     """Girth bound for connected regular graphs of degree 3, 4, or 5:
     ceil(n*(mu-1)/mu), ceil(n*(mu-2)/mu), ceil(n*mu/(n+mu)) respectively."""
-    mu = _nonnegative(algebraic_connectivity, "algebraic connectivity")
-    if degree == 3:
-        return max(0, safe_ceil(n * (mu - 1.0) / mu))
-    if degree == 4:
-        return max(0, safe_ceil(n * (mu - 2.0) / mu))
-    if degree == 5:
-        return max(0, safe_ceil(n * mu / (n + mu)))
-    raise ValueError(f"girth bound applies to regular degrees 3, 4, 5 only, got {degree}")
+    coefficients = {3: (n, -n, 1, 0), 4: (n, -2 * n, 1, 0), 5: (n, 0, 1, n)}
+    if degree not in coefficients:
+        raise ValueError(f"girth bound applies to regular degrees 3, 4, 5 only, got {degree}")
+    return _spectral_ceil(algebraic_connectivity, "algebraic connectivity", *coefficients[degree])
 
 
 def global_offensive_laplacian_radius(n: int, min_degree: int, laplacian_radius: float) -> tuple[int, int]:
     """Bounds ceil((n/mu*) * ceil((delta+1)/2)) and ceil((n/mu*) * (ceil(delta/2)+1))
     on the global (strong) offensive alliance numbers."""
-    mu_star = _nonnegative(laplacian_radius, "Laplacian spectral radius")
-    if mu_star <= 0:
-        raise ValueError("bound requires a positive Laplacian spectral radius (at least one edge)")
+    mu_star, label = laplacian_radius, "Laplacian spectral radius"
     return (
-        safe_ceil(n / mu_star * ((min_degree + 2) // 2)),
-        safe_ceil(n / mu_star * ((min_degree + 1) // 2 + 1)),
+        _spectral_ceil(mu_star, label, 0, n * ((min_degree + 2) // 2), 1, 0),
+        _spectral_ceil(mu_star, label, 0, n * ((min_degree + 1) // 2 + 1), 1, 0),
     )
 
 
@@ -186,11 +187,8 @@ def global_offensive_quadratic(n: int, m: int, max_degree: int) -> tuple[int, in
 def global_dual_spectral_radius(n: int, m: int, spectral_radius: float) -> tuple[int, int]:
     """Bounds ceil((2m+n)/(4(lambda+1))) and ceil((m+n)/(2*lambda+1)) on the
     global (strong) dual alliance numbers."""
-    lam = _nonnegative(spectral_radius, "spectral radius")
-    return (
-        safe_ceil((2 * m + n) / (4.0 * (lam + 1.0))),
-        safe_ceil((m + n) / (2.0 * lam + 1.0)),
-    )
+    lam, label = spectral_radius, "spectral radius"
+    return _spectral_ceil(lam, label, 0, 2 * m + n, 4, 4), _spectral_ceil(lam, label, 0, m + n, 2, 1)
 
 
 def global_dual_size(n: int, m: int) -> tuple[int, int]:
@@ -202,10 +200,7 @@ def global_dual_size(n: int, m: int) -> tuple[int, int]:
 
 def domination_laplacian_radius(n: int, laplacian_radius: float) -> int:
     """Bound n/mu* on the domination number, rounded up."""
-    mu_star = _nonnegative(laplacian_radius, "Laplacian spectral radius")
-    if mu_star <= 0:
-        raise ValueError("bound requires a positive Laplacian spectral radius (at least one edge)")
-    return safe_ceil(n / mu_star)
+    return _spectral_ceil(laplacian_radius, "Laplacian spectral radius", 0, n, 1, 0)
 
 
 # A hypothesis is a test on the graph quantities and the reason reported
@@ -274,8 +269,7 @@ def evaluate_all(
     """Evaluate every requested theorem on one graph, in table order.
 
     ``summary`` may be None (order-1 graphs have no algebraic connectivity);
-    spectral theorems are then reported inapplicable. Values are clamped at
-    zero: a negative lower bound carries no information.
+    spectral theorems are then reported inapplicable.
     """
     selected = select_theorems(theorems)
     stats = degree_stats(g)
@@ -308,7 +302,7 @@ def evaluate_all(
             values = (values,)
         degenerate = theorem.degenerate_if_disconnected and not quantities["connected"]
         results.extend(
-            BoundResult(theorem.id, target, max(0, value), degenerate=degenerate, inputs=dict(inputs))
+            BoundResult(theorem.id, target, value, degenerate=degenerate, inputs=dict(inputs))
             for target, value in zip(theorem.targets, values)
         )
     return results

@@ -93,9 +93,18 @@ class TestStrongDefensiveConnectivityDegree:
         # star: mu = 1, max degree 8 makes the raw formula negative
         assert strong_defensive_connectivity_degree(9, 1.0, 8) == 0
 
-    def test_rejects_zero_connectivity(self):
-        with pytest.raises(ValueError):
-            strong_defensive_connectivity_degree(4, 0.0, 2)
+    @pytest.mark.parametrize(
+        "formula, args",
+        [
+            pytest.param(strong_defensive_connectivity_degree, (4, 0.0, 2), id="strongdef-mu-delta"),
+            pytest.param(girth_regular_connectivity, (10, 0.0, 3), id="girth-degree-3"),
+            pytest.param(girth_regular_connectivity, (10, 0.0, 4), id="girth-degree-4"),
+        ],
+    )
+    def test_rejects_zero_connectivity(self, formula, args):
+        # mu is a denominator here; mu = 0 is a clean ValueError, not a ZeroDivisionError.
+        with pytest.raises(ValueError, match="positive algebraic connectivity"):
+            formula(*args)
 
 
 class TestGlobalDefensive:
@@ -206,9 +215,13 @@ class TestLambdaRowsExactOnRegularGraphs:
 def test_rows_snap_decides_on_the_atlas_of_orders_two_to_six(monkeypatch):
     # The applicable rows whose value moves when SNAP is set to 0: the
     # ceilings the 1e-7 snapping decides rather than exact arithmetic. A
-    # theorem that raises with SNAP at 0 (``_nonnegative`` then rejects a
-    # float-noise negative mu) moves all of its rows. A change to the
-    # spectral quantities must not raise this count.
+    # theorem that raises with SNAP at 0 moves all of its rows. A change to
+    # the spectral quantities must not raise this count. Of the 61, 59 come
+    # from eigenvalue error itself, an eigenvalue read just off the value
+    # that makes its theorem an integer: dom-laplacian 14, globoff-laplacian
+    # 29, strongdef-mu-delta 12, def-mu 2 and globdef-lambda 2. The other two
+    # are the def-mu rows of two triangles (graph6 ``EJaG``), whose mu reads
+    # -9.06e-17, which ``_spectral_ceil`` rejects as negative once SNAP is 0.
     nx = pytest.importorskip("networkx")
     atlas = [h for h in nx.graph_atlas_g() if 2 <= h.number_of_nodes() <= 6]
     moved = rows = 0
@@ -228,7 +241,7 @@ def test_rows_snap_decides_on_the_atlas_of_orders_two_to_six(monkeypatch):
             moved += sum(a != b for a, b in applicable)
     assert len(atlas) == 207
     assert rows == 3445
-    assert moved == 77
+    assert moved == 61
 
 
 def _least(holds, value):
@@ -273,6 +286,80 @@ def test_integer_ceilings_are_least_solutions_and_match_float_reference():
                     safe_ceil((b_plain - math.sqrt(b_plain * b_plain - 8 * c_plain)) / 4.0),
                     safe_ceil((b_strong - math.sqrt(b_strong * b_strong - 8 * c_strong)) / 4.0),
                 )
+
+
+def _half_up(k):
+    return math.ceil(Fraction(k, 2))
+
+
+# The seven spectral formulas against their docstrings in exact arithmetic,
+# the girth theorem once per degree. Each entry calls the formula on (n, m,
+# min degree, max degree, x) and gives the docstring's value for each target,
+# or None where a denominator is 0.
+_SPECTRAL_FORMULAS = {
+    "def-mu": (
+        lambda n, m, lo, hi, x: defensive_connectivity(n, x),
+        lambda n, m, lo, hi, x: (n * x / (n + x), n * (x + 1) / (n + x)),
+    ),
+    "strongdef-mu-delta": (
+        lambda n, m, lo, hi, x: (strong_defensive_connectivity_degree(n, x, hi),),
+        lambda n, m, lo, hi, x: (n * (x - hi // 2) / x,) if x else None,
+    ),
+    "globdef-lambda": (
+        lambda n, m, lo, hi, x: global_defensive_spectral_radius(n, x),
+        lambda n, m, lo, hi, x: (n / (x + 2), n / (x + 1)),
+    ),
+    "girth-regular-mu-3": (
+        lambda n, m, lo, hi, x: (girth_regular_connectivity(n, x, 3),),
+        lambda n, m, lo, hi, x: (n * (x - 1) / x,) if x else None,
+    ),
+    "girth-regular-mu-4": (
+        lambda n, m, lo, hi, x: (girth_regular_connectivity(n, x, 4),),
+        lambda n, m, lo, hi, x: (n * (x - 2) / x,) if x else None,
+    ),
+    "girth-regular-mu-5": (
+        lambda n, m, lo, hi, x: (girth_regular_connectivity(n, x, 5),),
+        lambda n, m, lo, hi, x: (n * x / (n + x),),
+    ),
+    "globoff-laplacian": (
+        lambda n, m, lo, hi, x: global_offensive_laplacian_radius(n, lo, x),
+        lambda n, m, lo, hi, x: (n / x * _half_up(lo + 1), n / x * (_half_up(lo) + 1)) if x else None,
+    ),
+    "globdual-lambda": (
+        lambda n, m, lo, hi, x: global_dual_spectral_radius(n, m, x),
+        lambda n, m, lo, hi, x: ((2 * m + n) / (4 * (x + 1)), (m + n) / (2 * x + 1)),
+    ),
+    "dom-laplacian": (
+        lambda n, m, lo, hi, x: (domination_laplacian_radius(n, x),),
+        lambda n, m, lo, hi, x: (n / x,) if x else None,
+    ),
+}
+
+
+@pytest.mark.parametrize("theorem", list(_SPECTRAL_FORMULAS))
+def test_spectral_formulas_transcribe_their_docstrings(theorem):
+    # The normal form _spectral_ceil evaluates hides each theorem's formula,
+    # so this checks every coefficient. The x values are dyadic, exact in
+    # binary; a value within 1e-6 of an integer is left to SNAP.
+    formula, exact = _SPECTRAL_FORMULAS[theorem]
+    checked = 0
+    for n in (2, 3, 5, 8, 12):
+        dyadic = [Fraction(k, 8) for k in range(8 * n + 9)] + [Fraction(1, 1024)]
+        for hi in range(n):
+            for lo in sorted({0, hi // 2, hi}):
+                for m in sorted({-(-n * lo // 2), n * hi // 2}):
+                    for x in dyadic:
+                        values = exact(n, m, lo, hi, x)
+                        if values is None:
+                            with pytest.raises(ValueError, match="requires a positive"):
+                                formula(n, m, lo, hi, float(x))
+                            continue
+                        got = formula(n, m, lo, hi, float(x))
+                        for value, v in zip(got, values, strict=True):
+                            if abs(v - round(v)) >= Fraction(1, 10**6):
+                                assert value == max(0, math.ceil(v)), (n, m, lo, hi, x)
+                                checked += 1
+    assert checked > 1000
 
 
 class TestDominationBound:
