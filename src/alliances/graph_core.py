@@ -12,6 +12,7 @@ __all__ = [
     "VertexSet",
     "DegreeStats",
     "girth",
+    "component_count",
     "is_connected",
     "degree_stats",
     "MAX_ORDER",
@@ -195,20 +196,27 @@ def girth(g: Graph) -> int | float:
     return best
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff a BFS from vertex 0 reaches all vertices."""
+def component_count(g: Graph) -> int:
+    """The number of connected components, one BFS from each unseen vertex."""
     seen = [False] * g.n
-    seen[0] = True
-    queue: deque[int] = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == g.n
+    count = 0
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        count += 1
+        seen[root] = True
+        component = [root]
+        for u in component:  # grows as the BFS appends to it
+            for w in g.adjacency[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    component.append(w)
+    return count
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff the graph has one connected component."""
+    return component_count(g) == 1
 
 
 def degree_stats(g: Graph) -> DegreeStats:

@@ -4,7 +4,10 @@ The solver is cyclic Jacobi: simple, robust for symmetric matrices, and
 accurate far below the integer-snapping threshold used downstream. It always
 solves to the off-diagonal residual ``DEFAULT_TOL`` within ``MAX_SWEEPS``
 sweeps. The suite checks it against an independent power iteration kept with
-the tests. Connectivity is a graph fact, read from ``graph_core.is_connected``.
+the tests. Connectivity is a graph fact: the Laplacian's eigenvalue 0 has
+multiplicity the number of connected components, counted by
+``graph_core.component_count``, and those leading entries of the spectrum are
+set to 0.0 exactly rather than left at solver noise.
 
 A d-regular graph takes one eigensolve, of its Laplacian: its adjacency
 spectral radius is d exactly (Perron–Frobenius; the all-ones vector is an
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph, _two_colouring, degree_stats
+from .graph_core import Graph, _two_colouring, component_count, degree_stats
 
 __all__ = [
     "SpectralSummary",
@@ -57,9 +60,10 @@ class UndefinedQuantityError(ValueError):
 class SpectralSummary:
     """Spectral radius, algebraic connectivity, Laplacian spectral radius.
 
-    ``laplacian_spectrum`` is sorted ascending; its first entry is 0 up to
-    the solver tolerance, and ``algebraic_connectivity`` is the second entry
-    (positive iff the graph is connected).
+    ``laplacian_spectrum`` is sorted ascending; its first c entries are
+    exactly 0.0, where c is the number of connected components, and
+    ``algebraic_connectivity`` is the second entry: exactly 0.0 on a
+    disconnected graph and positive on a connected one.
 
     ``sweeps`` and ``residual`` describe the solves that ran: the Jacobi
     sweeps summed and the larger final off-diagonal residual. On a regular
@@ -92,6 +96,14 @@ def jacobi_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, int, float]:
     have magnitude below ``DEFAULT_TOL``, and raise :class:`ConvergenceError`
     after ``MAX_SWEEPS`` sweeps. Returns (sorted eigenvalues, sweeps used,
     final off-diagonal residual).
+
+    The arithmetic is fixed: the rotations, their order and every float64
+    operation in them, so the eigenvalues, sweeps and residual are the same
+    bits however the kernel is made faster.
+    ``tests/test_spectral.py::TestJacobiSolver::test_arithmetic_is_pinned``
+    hashes them. Each rotation reads its three entries as Python floats and
+    builds both rotated rows, then both rotated columns, from views before
+    writing them.
     """
     tol, max_sweeps = DEFAULT_TOL, MAX_SWEEPS
     a = np.array(matrix, dtype=float, copy=True)
@@ -114,24 +126,24 @@ def jacobi_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, int, float]:
             )
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = a.item(p, q)
                 if abs(apq) <= skip:
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                tau = (a.item(q, q) - a.item(p, p)) / (2.0 * apq)
                 if tau >= 0:
                     t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
                     t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
+                # Both new rows, then both new columns, are computed from
+                # views before either is written, so nothing is copied.
+                row_p, row_q = a[p], a[q]
+                new_p, new_q = c * row_p - s * row_q, s * row_p + c * row_q
+                a[p], a[q] = new_p, new_q
+                col_p, col_q = a[:, p], a[:, q]
+                new_p, new_q = c * col_p - s * col_q, s * col_p + c * col_q
+                a[:, p], a[:, q] = new_p, new_q
                 a[p, q] = a[q, p] = 0.0
     raise AssertionError("unreachable")
 
@@ -148,12 +160,14 @@ def spectral_summary(g: Graph) -> SpectralSummary:
 
     Raises :class:`UndefinedQuantityError` for graphs of order 1, where the
     algebraic connectivity does not exist. Disconnected graphs are fine: the
-    second Laplacian eigenvalue is then ~0.
+    second Laplacian eigenvalue is then exactly 0.0.
     """
     if g.n < 2:
         raise UndefinedQuantityError("algebraic connectivity is undefined for graphs of order < 2")
     adjacency = adjacency_matrix(g)
     lap_spectrum, sweeps, residual = jacobi_spectrum(np.diag(adjacency.sum(axis=1)) - adjacency)
+    # Eigenvalue 0 of the Laplacian has multiplicity the number of components.
+    lap_spectrum[: component_count(g)] = 0.0
     degree = degree_stats(g).regular
     if degree is not None:
         radius = float(degree)

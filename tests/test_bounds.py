@@ -216,12 +216,12 @@ def test_rows_snap_decides_on_the_atlas_of_orders_two_to_six(monkeypatch):
     # The applicable rows whose value moves when SNAP is set to 0: the
     # ceilings the 1e-7 snapping decides rather than exact arithmetic. A
     # theorem that raises with SNAP at 0 moves all of its rows. A change to
-    # the spectral quantities must not raise this count. Of the 61, 59 come
-    # from eigenvalue error itself, an eigenvalue read just off the value
-    # that makes its theorem an integer: dom-laplacian 14, globoff-laplacian
-    # 29, strongdef-mu-delta 12, def-mu 2 and globdef-lambda 2. The other two
-    # are the def-mu rows of two triangles (graph6 ``EJaG``), whose mu reads
-    # -9.06e-17, which ``_spectral_ceil`` rejects as negative once SNAP is 0.
+    # the spectral quantities must not raise this count. All 59 come from
+    # eigenvalue error, an eigenvalue read just off the value that makes its
+    # theorem an integer: dom-laplacian 14, globoff-laplacian 29,
+    # strongdef-mu-delta 12, def-mu 2 and globdef-lambda 2. A disconnected
+    # graph's mu is exactly 0 (one zero per component), so no row moves
+    # because a noise-negative mu is rejected once SNAP is 0.
     nx = pytest.importorskip("networkx")
     atlas = [h for h in nx.graph_atlas_g() if 2 <= h.number_of_nodes() <= 6]
     moved = rows = 0
@@ -241,7 +241,7 @@ def test_rows_snap_decides_on_the_atlas_of_orders_two_to_six(monkeypatch):
             moved += sum(a != b for a, b in applicable)
     assert len(atlas) == 207
     assert rows == 3445
-    assert moved == 61
+    assert moved == 59
 
 
 def _least(holds, value):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -15,11 +16,14 @@ from alliances.spectral import (
     spectral_summary,
 )
 
-from corpus import regular_graphs
+from corpus import named_graphs, regular_graphs
 from spectral_oracle import power_iteration_radius, rayleigh_indicator
 from strategies import graph_and_proper_subset, graphs
 
 TOL = 1e-6
+# sha256 of every bit jacobi_spectrum returns in
+# TestJacobiSolver.test_arithmetic_is_pinned.
+JACOBI_DIGEST = "b06102a487fc6b325f460eb6d6f5a639f5df67d8937ed41f0d00e5cfb54d5248"
 
 
 class TestKnownSpectra:
@@ -130,20 +134,37 @@ class TestSummaryInvariants:
         spectrum = s.laplacian_spectrum
         assert len(spectrum) == g.n
         assert list(spectrum) == sorted(spectrum)
-        assert abs(spectrum[0]) < 1e-8
+        assert spectrum[0] == 0.0
         assert sum(spectrum) == pytest.approx(2 * g.m, abs=g.n * 1e-9)
         adj_eigs, _, _ = jacobi_spectrum(adjacency_matrix(g))
         assert sum(adj_eigs) == pytest.approx(0.0, abs=g.n * 1e-9)
         max_degree = max(len(a) for a in g.adjacency)
         assert s.spectral_radius <= max_degree + 1e-8
-        assert -1e-8 <= s.algebraic_connectivity <= s.laplacian_radius + 1e-12
+        assert 0.0 <= s.algebraic_connectivity <= s.laplacian_radius + 1e-12
         assert s.laplacian_radius <= min(2 * max_degree, g.n) + 1e-8
 
     @given(graphs(max_n=9))
     @settings(max_examples=60, deadline=None)
     def test_connectivity_iff_positive_second_eigenvalue(self, g):
         s = spectral_summary(g)
-        assert (s.algebraic_connectivity > 1e-8) == is_connected(g)
+        if is_connected(g):
+            assert s.algebraic_connectivity > 0.0
+        else:
+            assert s.algebraic_connectivity == 0.0
+
+    @pytest.mark.parametrize(
+        "g, components",
+        [
+            # Two triangles (graph6 EJaG): Jacobi alone reads mu as -9.06e-17.
+            (Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]), 2),
+            (BIPARTITE["isolated+path:4+isolated:2"], 4),
+            (Graph(3), 3),
+        ],
+    )
+    def test_one_exact_zero_per_component(self, g, components):
+        spectrum = spectral_summary(g).laplacian_spectrum
+        assert spectrum[:components] == (0.0,) * components
+        assert all(x > 1e-8 for x in spectrum[components:])
 
 
 class TestRayleighIndicator:
@@ -229,6 +250,22 @@ class TestJacobiSolver:
         with pytest.raises(ConvergenceError) as exc_info:
             jacobi_spectrum(np.diag(a.sum(axis=1)) - a)
         assert exc_info.value.residual > 0
+
+    def test_arithmetic_is_pinned(self):
+        # A faster kernel must apply the same rotations in the same order with
+        # the same float64 operations, so every eigenvalue bit, sweep count and
+        # residual stays as recorded here.
+        specs = [f"gnp:10:0.5:seed={seed}" for seed in range(20)]
+        specs += ["grid:4:6", "gnp:22:0.25:seed=0", "gnp:60:0.1:seed=0"]
+        built = [generators.build(generators.parse_family(spec)) for spec in specs]
+        digest = hashlib.sha256()
+        for g in [*named_graphs().values(), *built]:
+            a = adjacency_matrix(g)
+            for matrix in (np.diag(a.sum(axis=1)) - a, a):
+                eigenvalues, sweeps, residual = jacobi_spectrum(matrix)
+                hexes = ",".join(x.hex() for x in eigenvalues.tolist())
+                digest.update(f"{hexes} {sweeps} {residual.hex()}\n".encode())
+        assert digest.hexdigest() == JACOBI_DIGEST
 
 
 def test_random_subset_sandwich_bulk():
