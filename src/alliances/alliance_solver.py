@@ -34,33 +34,22 @@ their needs add up. For domination this is gamma >= rho (Meir & Moon,
 so values and witnesses are the same as without them. The thresholds are
 built once per graph and variant and shared by every cardinality searched.
 
-Two more prunings use what is already known, and neither changes a value
-or a witness either:
-
-* Implication-order starts. ``_IMPLIES`` is derived from the thresholds: X
-  implies Y when each of Y's conditions follows from one of X's, so every
-  X-set is a Y-set and X's minimum is at least Y's. Given the results
-  already found for a graph, ``min_alliance_number`` starts at the largest
-  value among the rows X implies. If such a row's witness W has that value
-  and is an X-set, W is the answer: it is the lexicographically smallest
-  Y-set of its size, every X-set of that size is a Y-set, so none comes
-  before W. Nothing is taken from the paper's theorems, which the survey
-  checks against these values.
-* Orbit exclusion on the spine, the path on which every vertex decided so
-  far is out (orbital branching at the root; Ostrowski, Linderoth, Rossi &
-  Smriglio, *Math. Program.* 126, 2011). The in-branch of the first vertex
-  u is tried first, so once it is spent on the spine no k-set contains u.
-  Automorphisms map k-sets to k-sets, since every condition reads only
-  degrees and adjacency, so no k-set contains any vertex of u's orbit
-  (``Graph.orbits``), and their in-branches are skipped for the rest of
-  that k. The skipped set is a union of orbits in no k-set, so the same
-  holds at each later spine vertex.
+One more pruning uses what is already known, and it changes no value or
+witness either: implication-order starts. ``_IMPLIES`` is derived from the
+thresholds: X implies Y when each of Y's conditions follows from one of
+X's, so every X-set is a Y-set and X's minimum is at least Y's. Given the
+results already found for a graph, ``min_alliance_number`` starts at the
+largest value among the rows X implies. If such a row's witness W has that
+value and is an X-set, W is the answer: it is the lexicographically
+smallest Y-set of its size, every X-set of that size is a Y-set, so none
+comes before W. Nothing is taken from the paper's theorems, which the
+survey checks against these values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .graph_core import Graph, VertexSet, _check_set
 
@@ -245,13 +234,7 @@ def _tables(g: Graph, cond: _Conditions) -> _Tables:
     )
 
 
-def _search_exact(
-    t: _Tables,
-    k: int,
-    counter: dict[str, int],
-    max_nodes: int | None,
-    orbits: Callable[[], Sequence[int]] | None = None,
-) -> int | None:
+def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | None) -> int | None:
     """Lexicographically smallest satisfying k-subset, or None.
 
     Vertices are decided in/out in index order, in-branch first, so the
@@ -298,27 +281,12 @@ def _search_exact(
       are hopeless. For domination this is the 2-packing bound gamma >= rho
       (Meir & Moon, 1975).
 
-    Orbit exclusion: ``orbits()`` gives, per vertex, a bitmask of vertices
-    that automorphisms map it to (``Graph.orbits``), and is called the first
-    time it is needed. The spine is the path on which every decided vertex
-    is out (``chosen == 0``). When u's in-branch is spent on the spine, no
-    k-set contains u: one would have u as its first member, or an earlier
-    first member whose in-branch was spent before. An automorphism maps
-    k-sets to k-sets, since every condition is read off degrees and
-    adjacency, so no k-set contains any vertex of u's orbit either, and the
-    search skips the in-branch of each of them (``excluded``) for the rest
-    of this k. ``excluded`` is a union of orbits, none of them in a k-set,
-    so the argument holds again at each later spine vertex.
-
-    The bounds and the exclusion only discard subtrees with no satisfying
-    k-set, so the first hit and the witness are unchanged; only the node
-    count drops.
+    The bounds only discard subtrees with no satisfying k-set, so the first
+    hit and the witness are unchanged; only the node count drops.
     """
     n, adjacency, masks, closed, need_in, need_out, per_member, earlier = t
     member = [False] * n
     in_count = [0] * n
-    orbit: Sequence[int] | None = None if orbits else [1 << v for v in range(n)]
-    excluded = 0  # vertices in no k-set, each with its orbit
 
     # Everything the pass reads is bound as a default argument, which makes
     # it a fast local, and taking back a join is written out where it
@@ -375,8 +343,6 @@ def _search_exact(
         if u == n:
             counter["nodes"] = nodes
             return sum(1 << v for v in range(n) if member[v])
-        if joins and (excluded >> u) & 1:
-            joins = False
         if (chosen < k) if joins else (chosen + n - u - 1 >= k):
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
@@ -428,11 +394,6 @@ def _search_exact(
                         in_count[w] -= 1
                     chosen -= 1
                     break
-        if not chosen:
-            # u's in-branch is spent on the spine.
-            if orbit is None:
-                orbit = orbits()
-            excluded |= orbit[u]
 
 
 def min_alliance_number(
@@ -475,7 +436,7 @@ def min_alliance_number(
     tables = _tables(g, cond)
     counter = {"nodes": 0}
     for k in range(start, g.n + 1):
-        mask = _search_exact(tables, k, counter, limits.max_nodes, g.orbits)
+        mask = _search_exact(tables, k, counter, limits.max_nodes)
         if mask is not None:
             return AllianceResult(
                 value=k,

@@ -1,5 +1,5 @@
 """Immutable simple graphs and vertex subsets, and the graph facts (girth,
-connectivity, degrees, automorphism orbits) built on them."""
+connectivity, degrees, two-colouring) built on them."""
 
 from __future__ import annotations
 
@@ -22,12 +22,6 @@ __all__ = [
 # float64 n x n arrays, about 400 MB at this order.
 MAX_ORDER = 4096
 
-# How many candidate images ``_automorphism_orbits`` may try, one colour
-# refinement each, while it searches one graph for automorphisms. Once they
-# are spent, each vertex keeps the part of its orbit found so far, which is
-# always sound. It also bounds the search's recursion depth.
-ORBIT_BUDGET = 500
-
 
 def _check_order(n: int) -> None:
     if n > MAX_ORDER:
@@ -40,16 +34,13 @@ class Graph:
     Adjacency is stored twice: as sorted tuples for iteration and as
     per-vertex bitmasks so that counting a vertex's neighbors inside a
     subset is a single AND plus popcount. Instances are immutable after
-    construction, apart from a cache of the automorphism orbits that the
-    first call to ``orbits`` fills. Filling it is idempotent: two threads
-    may both compute the orbits and both store the same value, so
-    instances are safe to share between threads.
+    construction.
 
     Duplicate edges collapse silently; self-loops are rejected, and so is
     an order above ``MAX_ORDER``.
     """
 
-    __slots__ = ("n", "m", "adjacency", "masks", "_orbits")
+    __slots__ = ("n", "m", "adjacency", "masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
@@ -67,14 +58,6 @@ class Graph:
         self.m = sum(len(s) for s in neighbor_sets) // 2
         self.adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
         self.masks = tuple(sum(1 << u for u in nbrs) for nbrs in self.adjacency)
-        self._orbits: tuple[int, ...] | None = None
-
-    def orbits(self) -> tuple[int, ...]:
-        """Per vertex, the bitmask of the vertices an automorphism maps it
-        to (``_automorphism_orbits``), computed once."""
-        if self._orbits is None:
-            self._orbits = _automorphism_orbits(self)
-        return self._orbits
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -254,129 +237,3 @@ def _two_colouring(g: Graph) -> tuple[list[int], list[int]] | None:
         for v in component:
             first[v] = colour[v] == side
     return [v for v in range(g.n) if first[v]], [v for v in range(g.n) if not first[v]]
-
-
-def _refine(adjacency: tuple[tuple[int, ...], ...], colours: list[int], names: dict) -> list[int]:
-    """Colour refinement: recolour every vertex by its colour and its
-    neighbours' colours until no cell splits, so the colouring is equitable.
-
-    A new colour is the index of its key in ``names``, a table the caller
-    shares between refinements, so it depends on the key alone and never
-    on a vertex index: an isomorphism between two coloured graphs maps one
-    refined colouring onto the other.
-    """
-    count = len(set(colours))
-    while True:
-        keys = [(colours[v], tuple(sorted([colours[w] for w in nbrs]))) for v, nbrs in enumerate(adjacency)]
-        refined = [names.setdefault(key, len(names)) for key in keys]
-        cells = len(set(refined))
-        if cells == count:
-            return colours
-        colours, count = refined, cells
-
-
-def _cells(colours: list[int]) -> dict[int, list[int]]:
-    """The vertices of each colour, in index order."""
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colours):
-        cells.setdefault(c, []).append(v)
-    return cells
-
-
-def _automorphism_orbits(g: Graph) -> tuple[int, ...]:
-    """Per vertex, the bitmask of the vertices an automorphism of ``g`` maps it to.
-
-    Colour refinement splits the vertices into cells that automorphisms
-    preserve, so each orbit lies in one cell (McKay & Piperno, "Practical
-    graph isomorphism, II", 2014). A refined cell need not be an orbit: a
-    vertex-transitive graph and the Frucht graph, whose group is trivial,
-    can both be one cell. So each vertex of a cell is individualized (given
-    a colour of its own) and refined, at most once, and only two vertices
-    whose refined colourings hold the same colours are searched for an
-    automorphism mapping one to the other: individualize a vertex of a cell
-    with more than one member on one side and try each vertex of that cell
-    on the other, until every cell is a single vertex. Every permutation
-    found is checked against ``masks``, and all of its cycles are merged.
-    The search tries at most ``ORBIT_BUDGET`` candidate images on the
-    graph, read when it starts; a pair it has not matched by then stays
-    apart, so each mask returned lies within its vertex's orbit.
-    """
-    adjacency = g.adjacency
-    masks = g.masks
-    n = g.n
-    names: dict = {}
-    left = ORBIT_BUDGET
-
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def individualize(colours: list[int], v: int) -> list[int]:
-        split = [2 * c for c in colours]
-        split[v] += 1
-        return _refine(adjacency, split, names)
-
-    def match(a: list[int], b: list[int]) -> list[int] | None:
-        # An automorphism taking each vertex of colour c under ``a`` to one
-        # of colour c under ``b``, both equitable with the same colours.
-        nonlocal left
-        cell_of = _cells(b)
-        split = next((c for c, cell in cell_of.items() if len(cell) > 1), None)
-        if split is None:
-            perm = [cell_of[c][0] for c in a]
-            return perm if all(sum(1 << perm[w] for w in adjacency[v]) == masks[perm[v]] for v in range(n)) else None
-        x = a.index(split)
-        a2 = individualize(a, x)
-        held = sorted(a2)
-        # Images not yet known to share x's orbit first: a permutation that
-        # maps x there joins more orbits.
-        for w in sorted(cell_of[split], key=lambda y: find(y) == find(x)):
-            if left <= 0:
-                return None
-            left -= 1
-            b2 = individualize(b, w)
-            if sorted(b2) == held:
-                perm = match(a2, b2)
-                if perm is not None:
-                    return perm
-        return None
-
-    # Refinement starts from each vertex's common-neighbour profile: for
-    # every other vertex, whether the two are adjacent and how many
-    # neighbours they share. On a random regular graph, where plain
-    # refinement keeps one cell, it separates nearly every vertex.
-    profiles = [
-        tuple(sorted(((masks[v] >> w) & 1, (masks[v] & masks[w]).bit_count()) for w in range(n) if w != v))
-        for v in range(n)
-    ]
-    base = _refine(adjacency, [names.setdefault(profile, len(names)) for profile in profiles], names)
-    fixed: dict[int, tuple[list[int], list[int]]] = {}  # v -> its individualized colours, and them sorted
-
-    def individualized(v: int) -> tuple[list[int], list[int]]:
-        if v not in fixed:
-            colours = individualize(base, v)
-            fixed[v] = (colours, sorted(colours))
-        return fixed[v]
-
-    for cell in _cells(base).values():
-        roots: list[int] = []  # a vertex of each orbit found in the cell so far
-        for w in cell:
-            if any(find(r) == find(w) for r in roots):
-                continue
-            for r in roots:
-                if left > 0 and individualized(r)[1] == individualized(w)[1]:
-                    perm = match(individualized(r)[0], individualized(w)[0])
-                    if perm is not None:
-                        for v, image in enumerate(perm):
-                            parent[find(v)] = find(image)
-                        break
-            else:
-                roots.append(w)
-    orbit = [0] * n
-    for v in range(n):
-        orbit[find(v)] |= 1 << v
-    return tuple(orbit[find(v)] for v in range(n))

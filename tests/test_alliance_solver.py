@@ -266,7 +266,7 @@ class TestLimits:
         assert min_alliance_number(g, DEFENSIVE, SearchLimits(max_n=30)).value == 1
 
     def test_node_budget(self):
-        # The search refutes k = 5 and 6 in 16 nodes, and the 51st node,
+        # The search refutes k = 5 and 6 in 26 nodes, and the 51st node,
         # one past the budget, is spent at k = 7.
         g = generators.petersen()
         with pytest.raises(SearchBudgetExceeded) as exc_info:
@@ -274,18 +274,18 @@ class TestLimits:
         assert exc_info.value.nodes_explored == 51
         assert exc_info.value.cardinality == 7
 
-    @pytest.mark.parametrize(("max_nodes", "cardinality"), [(100, 8), (151, 9)])
+    @pytest.mark.parametrize(("max_nodes", "cardinality"), [(100, 8), (182, 9)])
     def test_node_budget_spans_every_cardinality_searched(self, max_nodes, cardinality):
-        # Petersen's global strong dual search spends 3, 13, 53 and 73 nodes
-        # refuting k = 5-8 and finds k = 9 after 10 more, 152 in all. The
-        # 73 nodes of k = 8 fit a budget of 100 and the 10 of k = 9 fit 151,
+        # Petersen's global strong dual search spends 4, 22, 64 and 83 nodes
+        # refuting k = 5-8 and finds k = 9 after 10 more, 183 in all. The
+        # 83 nodes of k = 8 fit a budget of 100 and the 10 of k = 9 fit 182,
         # so a count restarted at each k would not run out.
         g = generators.petersen()
         with pytest.raises(SearchBudgetExceeded) as exc_info:
             min_alliance_number(g, GLOBAL_STRONG_DUAL, SearchLimits(max_nodes=max_nodes))
         assert (exc_info.value.cardinality, exc_info.value.nodes_explored) == (cardinality, max_nodes + 1)
-        result = min_alliance_number(g, GLOBAL_STRONG_DUAL, SearchLimits(max_nodes=152))
-        assert (result.value, result.nodes_explored) == (9, 152)
+        result = min_alliance_number(g, GLOBAL_STRONG_DUAL, SearchLimits(max_nodes=183))
+        assert (result.value, result.nodes_explored) == (9, 183)
 
     @pytest.mark.parametrize("limits", [{"max_n": 0}, {"max_n": -1}, {"max_nodes": 0}, {"max_nodes": -5}])
     def test_nonpositive_limits_are_rejected(self, limits):
@@ -302,17 +302,17 @@ class TestLimits:
 class TestSearchTree:
     def test_corpus_node_counts_are_pinned(self, corpus):
         # Totals over the named corpus of the index-order, in-branch-first
-        # search with the deficit and packing bounds and orbit exclusion on
-        # the spine; a change to the tree walk or its pruning shows here.
+        # search with the deficit and packing bounds; a change to the tree
+        # walk or its pruning shows here.
         expected = {
-            "defensive": 303,
-            "strong_defensive": 559,
-            "global_defensive": 798,
-            "global_strong_defensive": 763,
-            "global_offensive": 341,
-            "global_strong_offensive": 671,
-            "global_dual": 415,
-            "global_strong_dual": 481,
+            "defensive": 441,
+            "strong_defensive": 1003,
+            "global_defensive": 1386,
+            "global_strong_defensive": 1257,
+            "global_offensive": 455,
+            "global_strong_offensive": 823,
+            "global_dual": 485,
+            "global_strong_dual": 536,
             "domination": 167,
         }
         totals = dict.fromkeys(expected, 0)
@@ -341,10 +341,10 @@ class TestSearchTree:
             (
                 GraphFamilySpec("random_regular", (22, 3), seed=1),
                 {
-                    "defensive": 79,
-                    "strong_defensive": 165,
-                    "global_defensive": 4436,
-                    "global_strong_defensive": 38601,
+                    "defensive": 80,
+                    "strong_defensive": 167,
+                    "global_defensive": 4508,
+                    "global_strong_defensive": 38697,
                     "global_offensive": 2441,
                     "global_strong_offensive": 1281,
                     "global_dual": 19664,
@@ -355,38 +355,38 @@ class TestSearchTree:
             (
                 GraphFamilySpec("grid", (4, 6)),
                 {
-                    "defensive": 53,
-                    "strong_defensive": 182,
-                    "global_defensive": 995,
-                    "global_strong_defensive": 4820,
-                    "global_offensive": 5355,
-                    "global_strong_offensive": 647,
-                    "global_dual": 2337,
-                    "global_strong_dual": 3131,
-                    "domination": 272,
+                    "defensive": 71,
+                    "strong_defensive": 305,
+                    "global_defensive": 1151,
+                    "global_strong_defensive": 6342,
+                    "global_offensive": 5953,
+                    "global_strong_offensive": 680,
+                    "global_dual": 2621,
+                    "global_strong_dual": 3736,
+                    "domination": 408,
                 },
             ),
             (
                 GraphFamilySpec("hypercube", (4,)),
                 {
-                    "defensive": 69,
-                    "strong_defensive": 69,
-                    "global_defensive": 1836,
-                    "global_strong_defensive": 1836,
-                    "global_offensive": 186,
-                    "global_strong_offensive": 186,
-                    "global_dual": 948,
-                    "global_strong_dual": 948,
+                    "defensive": 157,
+                    "strong_defensive": 157,
+                    "global_defensive": 3536,
+                    "global_strong_defensive": 3536,
+                    "global_offensive": 216,
+                    "global_strong_offensive": 216,
+                    "global_dual": 1204,
+                    "global_strong_dual": 1204,
                     "domination": 28,
                 },
             ),
             (
                 GraphFamilySpec("cycle", (24,)),
                 {
-                    "defensive": 48,
-                    "strong_defensive": 48,
-                    "global_defensive": 1538,
-                    "global_strong_defensive": 1538,
+                    "defensive": 71,
+                    "strong_defensive": 71,
+                    "global_defensive": 2158,
+                    "global_strong_defensive": 2158,
                     "global_offensive": 35,
                     "global_strong_offensive": 35,
                     "global_dual": 59,
@@ -397,50 +397,50 @@ class TestSearchTree:
             (
                 GraphFamilySpec("grid", (4, 5)),
                 {
-                    "defensive": 45,
-                    "strong_defensive": 153,
-                    "global_defensive": 951,
-                    "global_strong_defensive": 1401,
-                    "global_offensive": 1528,
-                    "global_strong_offensive": 318,
+                    "defensive": 59,
+                    "strong_defensive": 252,
+                    "global_defensive": 1284,
+                    "global_strong_defensive": 1787,
+                    "global_offensive": 1710,
+                    "global_strong_offensive": 325,
                     "global_dual": 1587,
-                    "global_strong_dual": 635,
-                    "domination": 329,
+                    "global_strong_dual": 779,
+                    "domination": 339,
                 },
             ),
             (
                 GraphFamilySpec("complete_minus_matching", (14,)),
                 {
-                    "defensive": 651,
-                    "strong_defensive": 651,
-                    "global_defensive": 637,
-                    "global_strong_defensive": 637,
-                    "global_offensive": 776,
-                    "global_strong_offensive": 776,
-                    "global_dual": 946,
-                    "global_strong_dual": 946,
+                    "defensive": 714,
+                    "strong_defensive": 714,
+                    "global_defensive": 847,
+                    "global_strong_defensive": 847,
+                    "global_offensive": 2360,
+                    "global_strong_offensive": 2360,
+                    "global_dual": 1864,
+                    "global_strong_dual": 1864,
                     "domination": 14,
                 },
             ),
             (
                 GraphFamilySpec("grid", (3, 7)),
                 {
-                    "defensive": 49,
-                    "strong_defensive": 116,
-                    "global_defensive": 512,
-                    "global_strong_defensive": 481,
-                    "global_offensive": 1384,
-                    "global_strong_offensive": 264,
-                    "global_dual": 1549,
-                    "global_strong_dual": 1600,
-                    "domination": 186,
+                    "defensive": 62,
+                    "strong_defensive": 157,
+                    "global_defensive": 648,
+                    "global_strong_defensive": 518,
+                    "global_offensive": 1485,
+                    "global_strong_offensive": 315,
+                    "global_dual": 1731,
+                    "global_strong_dual": 1833,
+                    "domination": 191,
                 },
             ),
             (
                 GraphFamilySpec("path", (24,)),
                 {
                     "defensive": 24,
-                    "strong_defensive": 59,
+                    "strong_defensive": 71,
                     "global_defensive": 2492,
                     "global_strong_defensive": 2179,
                     "global_offensive": 35,
@@ -453,15 +453,15 @@ class TestSearchTree:
             (
                 GraphFamilySpec("grid", (3, 8)),
                 {
-                    "defensive": 55,
-                    "strong_defensive": 131,
-                    "global_defensive": 908,
-                    "global_strong_defensive": 626,
-                    "global_offensive": 2249,
-                    "global_strong_offensive": 766,
-                    "global_dual": 3585,
-                    "global_strong_dual": 3232,
-                    "domination": 189,
+                    "defensive": 71,
+                    "strong_defensive": 180,
+                    "global_defensive": 1178,
+                    "global_strong_defensive": 678,
+                    "global_offensive": 2368,
+                    "global_strong_offensive": 793,
+                    "global_dual": 4053,
+                    "global_strong_dual": 3655,
+                    "domination": 219,
                 },
             ),
         ],
@@ -510,8 +510,8 @@ class TestSearchTree:
     def test_every_cardinality_finds_the_smallest_satisfying_k_set(self):
         # The contract at each k, not only at the minimum: the hit is the
         # lexicographically smallest satisfying k-subset, or None when there
-        # is none, with and without orbit exclusion, over tables shared by
-        # every k as ``min_alliance_number`` shares them.
+        # is none, over tables shared by every k as ``min_alliance_number``
+        # shares them.
         graphs = [g for n in range(1, 6) for g in _graphs_up_to_isomorphism(n)]
         draws = ((7, 0.4, 1), (7, 0.6, 4), (8, 0.3, 2), (8, 0.5, 5), (9, 0.35, 6), (9, 0.5, 3))
         graphs += [generators.gnp(n, p, seed=seed) for n, p, seed in draws]
@@ -524,10 +524,9 @@ class TestSearchTree:
                             first[k] = sum(1 << v for v in subset)
                             break
                 tables = _tables(g, cond)
-                for orbits in (None, g.orbits):
-                    for k in range(1, g.n + 1):
-                        hit = _search_exact(tables, k, {"nodes": 0}, None, orbits)
-                        assert hit == first.get(k), (g.adjacency, name, k, orbits is None)
+                for k in range(1, g.n + 1):
+                    hit = _search_exact(tables, k, {"nodes": 0}, None)
+                    assert hit == first.get(k), (g.adjacency, name, k)
         assert len(graphs) == 52 + 6
 
 
@@ -619,27 +618,3 @@ class TestImplications:
         with pytest.raises(SearchBudgetExceeded) as caught:
             min_alliance_number(g, GLOBAL_STRONG_DUAL, SearchLimits(max_nodes=1), _known=known)
         assert caught.value.cardinality == start > 1
-
-
-class TestOrbitExclusion:
-    def test_every_cardinality_has_the_same_hit_with_fewer_nodes(self, corpus):
-        graphs = [*corpus.values(), generators.grid(3, 4), generators.hypercube(4)]
-        for g in graphs:
-            for name, cond in VARIANTS.items():
-                tables = _tables(g, cond)
-                for k in range(1, g.n + 1):
-                    plain, pruned = {"nodes": 0}, {"nodes": 0}
-                    expected = _search_exact(tables, k, plain, None)
-                    assert _search_exact(tables, k, pruned, None, g.orbits) == expected, (g, name, k)
-                    assert pruned["nodes"] <= plain["nodes"], (g, name, k)
-
-    def test_a_vertex_transitive_graph_refutes_a_cardinality_from_vertex_0_alone(self):
-        # No single vertex of C_12 is a defensive alliance. Once vertex 0's
-        # in-branch fails on the spine, no vertex is tried in: one node for
-        # that in-branch, then the n - 1 out decisions the spine can take.
-        g = generators.cycle(12)
-        tables = _tables(g, VARIANTS["defensive"])
-        plain, pruned = {"nodes": 0}, {"nodes": 0}
-        assert _search_exact(tables, 1, plain, None) is None
-        assert _search_exact(tables, 1, pruned, None, g.orbits) is None
-        assert (plain["nodes"], pruned["nodes"]) == (g.n + g.n - 1, 1 + g.n - 1)

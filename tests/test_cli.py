@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import alliances
-from alliances import bounds, generators, graph_core
+from alliances import alliance_solver, bounds, generators
 from alliances.alliance_solver import VARIANTS
 from alliances.cli import main, parse_family
 from alliances.generators import GraphFamilySpec, build
@@ -71,7 +71,7 @@ class TestFamilyGrammar:
 
 
 class TestAnalyze:
-    def test_petersen_all(self, capsys):
+    def test_petersen_default_report(self, capsys):
         code, out, _ = run(capsys, "analyze", "petersen", "--deterministic")
         assert code == 0
         report = json.loads(out)
@@ -248,15 +248,17 @@ class TestAnalyze:
         assert "order 600 exceeds the solver ceiling 24" in err
         assert "--max-n" in err and "--bounds-only" in err
 
-    def test_no_orbits_above_the_ceiling_or_for_bounds_alone(self, capsys, monkeypatch):
-        def no_orbits(g):
-            raise AssertionError("automorphism orbits computed")
+    def test_no_search_above_the_ceiling_or_for_bounds_alone(self, capsys, monkeypatch):
+        # The ceiling is checked inside min_alliance_number, before its
+        # search, so the search routine itself is what must not run.
+        def no_search(*args):
+            raise AssertionError("exact search run")
 
-        monkeypatch.setattr(graph_core, "_automorphism_orbits", no_orbits)
+        monkeypatch.setattr(alliance_solver, "_search_exact", no_search)
         assert run(capsys, "analyze", "path:600")[0] == 3
         assert run(capsys, "analyze", "hypercube:4", "--bounds-only")[0] == 0
-        with pytest.raises(AssertionError, match="orbits computed"):
-            main(["analyze", "hypercube:4"])  # a search does reach the patched routine
+        with pytest.raises(AssertionError, match="exact search run"):
+            main(["analyze", "hypercube:4"])  # a plain analyze does reach the patched routine
 
     def test_bounds_only_runs_above_the_solver_ceiling(self, capsys):
         code, out, _ = run(capsys, "analyze", "complete:6", "--max-n", "4", "--bounds-only", "--deterministic")

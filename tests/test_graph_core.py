@@ -1,15 +1,12 @@
 import math
-from itertools import permutations
 
 import pytest
 from hypothesis import given
 
-from alliances import graph_core
 from alliances.graph_core import (
     MAX_ORDER,
     Graph,
     VertexSet,
-    _automorphism_orbits,
     _two_colouring,
     degree_stats,
     girth,
@@ -207,42 +204,3 @@ class TestCountingClaims:
         inside_in, _, _, _ = self._sums(g, s)
         assert inside_in <= s.size * (s.size - 1)
 
-
-def _orbits_by_permutation(g):
-    """Orbit masks from every permutation of the vertices that keeps the edges."""
-    orbit = [0] * g.n
-    for perm in permutations(range(g.n)):
-        if all(sum(1 << perm[w] for w in g.adjacency[v]) == g.masks[perm[v]] for v in range(g.n)):
-            for v in range(g.n):
-                orbit[v] |= 1 << perm[v]
-    return tuple(orbit)
-
-
-class TestAutomorphismOrbits:
-    @given(graphs(min_n=1, max_n=6))
-    def test_matches_every_permutation(self, g):
-        assert _automorphism_orbits(g) == _orbits_by_permutation(g)
-
-    def test_examples(self):
-        assert _automorphism_orbits(generators.path(5)) == (0b10001, 0b01010, 0b00100, 0b01010, 0b10001)
-        assert set(_automorphism_orbits(generators.petersen())) == {(1 << 10) - 1}
-        star = _automorphism_orbits(generators.complete_bipartite(1, 8))
-        assert star == (1,) + (((1 << 9) - 2),) * 8
-
-    def test_a_spent_budget_leaves_singletons(self, monkeypatch):
-        monkeypatch.setattr(graph_core, "ORBIT_BUDGET", 0)
-        g = generators.hypercube(4)
-        assert _automorphism_orbits(g) == tuple(1 << v for v in range(g.n))
-
-    def test_computed_once_per_graph(self, monkeypatch):
-        calls = []
-        compute = graph_core._automorphism_orbits
-
-        def counted(g):
-            calls.append(g)
-            return compute(g)
-
-        monkeypatch.setattr(graph_core, "_automorphism_orbits", counted)
-        g = generators.cycle(6)
-        assert g.orbits() == g.orbits() == (63,) * 6
-        assert len(calls) == 1

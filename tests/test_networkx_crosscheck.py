@@ -1,5 +1,5 @@
 """Cross-checks against networkx, an implementation that shares no code
-with this package: girth, automorphism orbits, two-colouring, the graph6
+with this package: girth, connected components, two-colouring, the graph6
 encoding, order fields included, every graph of order 1-6 in its atlas and
 every tree of order 9-11 through ``analyze``, with the bounds' tightness
 census over each pinned. Test-only; skipped where networkx is not
@@ -10,9 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from alliances import generators, graph_core, report
+from alliances import generators, report
 from alliances.alliance_solver import VARIANTS
-from alliances.graph_core import MAX_ORDER, Graph, _automorphism_orbits, _two_colouring, degree_stats, girth
+from alliances.graph_core import (
+    MAX_ORDER,
+    Graph,
+    _two_colouring,
+    component_count,
+    degree_stats,
+    girth,
+    is_connected,
+)
 from alliances.io_formats import ParseError, parse_graph6, write_graph6
 
 from corpus import named_graphs
@@ -49,69 +57,20 @@ def test_girth_matches_networkx(name):
     assert girth(g) == nx.girth(_to_nx(g))
 
 
-def _orbits_by_matching(g: Graph) -> tuple[int, ...]:
-    """Orbit masks from networkx's VF2 matcher: v and w share an orbit iff
-    some isomorphism of the graph onto itself maps v to w. One match per
-    pair not already joined, so no automorphism group is listed."""
-    h = _to_nx(g)
-    parent = list(range(g.n))
-
-    def find(v):
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    for v in range(g.n):
-        for w in range(v + 1, g.n):
-            if find(v) != find(w):
-                nx.set_node_attributes(h, {x: x == v for x in h}, "source")
-                nx.set_node_attributes(h, {x: x == w for x in h}, "target")
-                matcher = nx.isomorphism.GraphMatcher(h, h, node_match=lambda a, b: a["source"] == b["target"])
-                if matcher.is_isomorphic():
-                    parent[find(w)] = find(v)
-    orbit = [0] * g.n
-    for v in range(g.n):
-        orbit[find(v)] |= 1 << v
-    return tuple(orbit[find(v)] for v in range(g.n))
-
-
-ORBIT_CASES = {
-    **named_graphs(),
-    "hypercube:4": generators.hypercube(4),
-    # Its group has 2^7 * 7! = 645,120 elements: far too many to list.
-    "complete_minus_matching:14": generators.complete_minus_matching(14),
-    "grid:4:5": generators.grid(4, 5),
-    "grid:3:7": generators.grid(3, 7),
-    # 3-regular with a trivial group: one refinement cell, twelve orbits.
-    "frucht": Graph(12, nx.frucht_graph().edges()),
-}
-
-
-@pytest.mark.parametrize("name", list(ORBIT_CASES))
-def test_orbits_match_networkx(name):
-    g = ORBIT_CASES[name]
-    assert _automorphism_orbits(g) == _orbits_by_matching(g)
-
-
-def test_orbit_examples():
-    corners = (1 << 0) | (1 << 4) | (1 << 15) | (1 << 19)
-    assert _automorphism_orbits(ORBIT_CASES["grid:4:5"])[0] == corners
-    assert set(_automorphism_orbits(ORBIT_CASES["complete_minus_matching:14"])) == {(1 << 14) - 1}
-    frucht = ORBIT_CASES["frucht"]
-    assert len({len(nbrs) for nbrs in frucht.adjacency}) == 1
-    assert _automorphism_orbits(frucht) == tuple(1 << v for v in range(12))
-
-
-@pytest.mark.parametrize("name", ["hypercube:4", "complete_minus_matching:14", "grid:4:5", "frucht"])
-@pytest.mark.parametrize("budget", [0, 1, 5])
-def test_a_spent_budget_leaves_orbits_within_the_true_ones(name, budget, monkeypatch):
-    g = ORBIT_CASES[name]
-    true = _orbits_by_matching(g)
-    monkeypatch.setattr(graph_core, "ORBIT_BUDGET", budget)
-    orbits = _automorphism_orbits(g)
-    for v in range(g.n):
-        assert (orbits[v] >> v) & 1 and not orbits[v] & ~true[v]
-        assert all(orbits[w] == orbits[v] for w in range(g.n) if (orbits[v] >> w) & 1)
+def test_components_match_networkx_on_the_atlas():
+    # The component count decides how many Laplacian eigenvalues
+    # ``spectral_summary`` sets to exactly 0.0, so check it on every graph
+    # of order 1-6.
+    atlas = [h for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= 6]
+    disconnected = 0
+    for h in atlas:
+        g = Graph(h.number_of_nodes(), h.edges())
+        count = nx.number_connected_components(h)
+        assert component_count(g) == count, nx.to_graph6_bytes(h)
+        assert is_connected(g) == (count == 1), nx.to_graph6_bytes(h)
+        disconnected += count > 1
+    assert len(atlas) == 208
+    assert disconnected == 208 - 143  # 1, 1, 2, 6, 21 and 112 connected (OEIS A001349)
 
 
 def test_two_colouring_matches_is_bipartite_on_the_atlas():
@@ -161,15 +120,15 @@ def test_eight_byte_order_above_the_ceiling_is_a_parse_error(n):
 # analyzed with all nine variants: the shape of the search tree on every
 # small graph, not just the corpus.
 ATLAS_NODE_SUMS = {
-    "defensive": 2207,
-    "strong_defensive": 2968,
-    "global_defensive": 2904,
-    "global_strong_defensive": 1795,
-    "global_offensive": 2312,
-    "global_strong_offensive": 2581,
-    "global_dual": 1585,
-    "global_strong_dual": 2135,
-    "domination": 1499,
+    "defensive": 2633,
+    "strong_defensive": 3534,
+    "global_defensive": 3385,
+    "global_strong_defensive": 2021,
+    "global_offensive": 2482,
+    "global_strong_offensive": 2698,
+    "global_dual": 1805,
+    "global_strong_dual": 2251,
+    "domination": 1579,
 }
 
 # The tightness census over the same 208 graphs: per (theorem, target), the
@@ -220,7 +179,7 @@ def test_every_graph_of_order_one_to_six_matches_the_naive_oracle():
                 census[row["theorem"], row["target"]] = (applicable + 1, tight + (row["gap"] == 0), total + row["value"])
     assert len(atlas) == 208
     assert sums == ATLAS_NODE_SUMS
-    assert sum(sums.values()) == 19986
+    assert sum(sums.values()) == 22388
     assert census == ATLAS_CENSUS
     assert degenerate == 130
 
