@@ -114,10 +114,7 @@ def analyze(
     results: dict[str, AllianceResult] = {}
     for spec in [] if bounds_only else requested:
         results[spec.name] = _solve_exact(g, spec, limits, results)
-    exact = {
-        name: {"value": result.value, "witness": list(result.witness), "nodes_explored": result.nodes_explored}
-        for name, result in results.items()
-    }
+    exact = {name: {"value": result.value, "witness": list(result.witness)} for name, result in results.items()}
     stats = degree_stats(g)
     girth_value = girth(g)
     try:
@@ -177,8 +174,6 @@ def analyze(
             "algebraic_connectivity": _round12(summary.algebraic_connectivity),
             "laplacian_radius": _round12(summary.laplacian_radius),
             "laplacian_spectrum": [_round12(x) for x in summary.laplacian_spectrum],
-            "sweeps": summary.sweeps,
-            "residual": _round12(summary.residual),
         }
     else:
         report["spectral"] = None

@@ -65,12 +65,11 @@ class SpectralSummary:
     ``algebraic_connectivity`` is the second entry: exactly 0.0 on a
     disconnected graph and positive on a connected one.
 
-    ``sweeps`` and ``residual`` describe the solves that ran: the Jacobi
-    sweeps summed and the larger final off-diagonal residual. On a regular
-    graph only the Laplacian is solved, and ``spectral_radius`` is the
-    degree exactly. On any other bipartite graph the second solve is of
-    the common-neighbour matrix BBᵀ, whose top eigenvalue is λ², so its
-    residual is in units of λ², not of λ.
+    ``sweeps`` is the number of Jacobi sweeps over the solves that ran; it is
+    not in the report, and perfbench's trace reads it from here. On a
+    regular graph only the Laplacian is solved, and ``spectral_radius`` is
+    the degree exactly. On any other bipartite graph the second solve is of
+    the common-neighbour matrix BBᵀ, whose top eigenvalue is λ².
     """
 
     spectral_radius: float
@@ -78,7 +77,6 @@ class SpectralSummary:
     laplacian_radius: float
     laplacian_spectrum: tuple[float, ...]
     sweeps: int
-    residual: float
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -165,7 +163,7 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     if g.n < 2:
         raise UndefinedQuantityError("algebraic connectivity is undefined for graphs of order < 2")
     adjacency = adjacency_matrix(g)
-    lap_spectrum, sweeps, residual = jacobi_spectrum(np.diag(adjacency.sum(axis=1)) - adjacency)
+    lap_spectrum, sweeps, _ = jacobi_spectrum(np.diag(adjacency.sum(axis=1)) - adjacency)
     # Eigenvalue 0 of the Laplacian has multiplicity the number of components.
     lap_spectrum[: component_count(g)] = 0.0
     degree = degree_stats(g).regular
@@ -176,19 +174,17 @@ def spectral_summary(g: Graph) -> SpectralSummary:
         if colouring is not None:
             # Rows of A for the first class: their Gram matrix is BBᵀ.
             rows = adjacency[colouring[0]]
-            spectrum, more_sweeps, more_residual = jacobi_spectrum(rows @ rows.T)
+            spectrum, more_sweeps, _ = jacobi_spectrum(rows @ rows.T)
             radius = math.sqrt(spectrum[-1])
         else:
-            spectrum, more_sweeps, more_residual = jacobi_spectrum(adjacency)
+            spectrum, more_sweeps, _ = jacobi_spectrum(adjacency)
             # For a nonnegative symmetric matrix the largest eigenvalue is the spectral radius.
             radius = float(spectrum[-1])
         sweeps += more_sweeps
-        residual = max(residual, more_residual)
     return SpectralSummary(
         spectral_radius=radius,
         algebraic_connectivity=float(lap_spectrum[1]),
         laplacian_radius=float(lap_spectrum[-1]),
         laplacian_spectrum=tuple(float(x) for x in lap_spectrum),
         sweeps=sweeps,
-        residual=residual,
     )

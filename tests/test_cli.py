@@ -83,7 +83,12 @@ class TestAnalyze:
         assert bounds[("globoff-laplacian", "global_offensive")]["value"] == 4
         assert bounds[("globoff-laplacian", "global_strong_offensive")]["value"] == 6
         assert bounds[("girth-regular-mu", "girth")]["gap"] == 0
-        assert report["exact"]["domination"]["value"] == 3
+        assert report["exact"]["domination"] == {"value": 3, "witness": [0, 2, 6]}
+        # The report holds results only: no search or eigensolver diagnostics.
+        assert all(set(entry) == {"value", "witness"} for entry in report["exact"].values())
+        assert set(report["spectral"]) == {
+            "spectral_radius", "algebraic_connectivity", "laplacian_radius", "laplacian_spectrum"
+        }
         assert "generated_at" not in report
         assert all(row["gap"] >= 0 for row in report["bounds"] if "gap" in row)
 
