@@ -9,7 +9,11 @@ graph6: the standard printable 6-bit encoding (B. D. McKay, "graph6 and
 sparse6 graph formats", distributed with nauty) with its 1-byte order form
 for n <= 62, its 4-byte form for 63 <= n <= MAX_ORDER and the optional
 ``>>graph6<<`` header. The 8-byte form starts at n = 258048, above
-``MAX_ORDER``, and is refused.
+``MAX_ORDER``, and is refused. The order field and the body are bit strings
+packed six bits to a character, most significant first, each sextet offset
+by 63. The body lists the pairs column by column: column j holds the pairs
+(i, j) with i < j, in increasing i. Its last character is zero-padded, and
+padding bits are ignored on reading.
 
 ``parse_graph`` is the one place that decides which of the two formats an
 input is in.
@@ -71,6 +75,17 @@ def parse_edgelist(text: str) -> tuple[Graph, tuple[str, ...]]:
     return Graph(len(labels), edges), tuple(labels)
 
 
+def _bits(text: str) -> str:
+    """Six bits per graph6 character, most significant first."""
+    return "".join(format(ord(ch) - 63, "06b") for ch in text)
+
+
+def _chars(bits: str) -> str:
+    """One graph6 character per six bits, zero-padded to whole sextets."""
+    bits += "0" * (-len(bits) % 6)
+    return "".join(chr(63 + int(bits[k : k + 6], 2)) for k in range(0, len(bits), 6))
+
+
 def _graph6_layout(token: str) -> tuple[int, str] | str:
     """Split one graph6 token, header removed, into its order and body, or
     return why it is not laid out as graph6. An order field above
@@ -85,12 +100,10 @@ def _graph6_layout(token: str) -> tuple[int, str] | str:
     if token[0] == "~":
         if len(token) < 4:
             return "truncated graph6 order field"
-        n = 0
-        for ch in token[1:4]:
-            n = (n << 6) | (ord(ch) - 63)
-        body = token[4:]
+        field, body = token[1:4], token[4:]
     else:
-        n, body = ord(token[0]) - 63, token[1:]
+        field, body = token[0], token[1:]
+    n = int(_bits(field), 2)
     if n > MAX_ORDER:
         raise ParseError(f"graph6 order {n} exceeds the ceiling of {MAX_ORDER} vertices")
     if n < 1:
@@ -105,14 +118,11 @@ def _graph6_decode(layout: tuple[int, str] | str) -> Graph:
     if isinstance(layout, str):
         raise ParseError(layout)
     n, body = layout
+    bits = _bits(body)
     edges: list[tuple[int, int]] = []
-    index = 0  # position in the bit stream: pairs (i, j), j ascending, i < j
     for j in range(1, n):
-        for i in range(j):
-            char_value = ord(body[index // 6]) - 63
-            if (char_value >> (5 - index % 6)) & 1:
-                edges.append((i, j))
-            index += 1
+        column = bits[j * (j - 1) // 2 : j * (j + 1) // 2]
+        edges += [(i, j) for i, bit in enumerate(column) if bit == "1"]
     return Graph(n, edges)
 
 
@@ -166,19 +176,7 @@ def write_edgelist(g: Graph, labels: tuple[str, ...] | None = None) -> str:
 def write_graph6(g: Graph) -> str:
     """Serialize a graph in graph6 form."""
     n = g.n
-    if n < 63:
-        head = chr(n + 63)
-    else:  # n <= MAX_ORDER, so the 4-byte form always suffices
-        head = "~" + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
-    bits: list[int] = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = "".join(
-        chr(63 + (bits[k] << 5 | bits[k + 1] << 4 | bits[k + 2] << 3
-                  | bits[k + 3] << 2 | bits[k + 4] << 1 | bits[k + 5]))
-        for k in range(0, len(bits), 6)
-    )
-    return head + body
+    # n <= MAX_ORDER, so the 4-byte form always suffices
+    head = _chars(format(n, "06b")) if n < 63 else "~" + _chars(format(n, "018b"))
+    columns = (format(g.masks[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    return head + _chars("".join(columns))

@@ -76,6 +76,20 @@ class TestGraph6:
         assert encoded.startswith("~")
         assert parse_graph6(encoded) == g
 
+    def test_padding_bits_are_ignored(self):
+        # '`' is the sextet 100001: the edge (0, 1), then five padding bits, the last set
+        assert parse_graph6("A`") == generators.complete(2)
+        # n = 63 takes 1953 bits: three padding bits in the last sextet
+        g = generators.gnp(63, 0.1, seed=63)
+        encoded = write_graph6(g)
+        padded = encoded[:-1] + chr(63 + ((ord(encoded[-1]) - 63) | 0b111))
+        assert encoded.startswith("~") and padded != encoded
+        assert parse_graph6(padded) == g
+
+    def test_round_trip_at_the_ceiling(self):
+        g = generators.path(MAX_ORDER)
+        assert parse_graph6(write_graph6(g)) == g
+
     def test_invalid_byte_offset_reported(self):
         with pytest.raises(ParseError, match="offset 1"):
             parse_graph6("A!")

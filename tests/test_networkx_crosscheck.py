@@ -93,7 +93,7 @@ def test_two_colouring_matches_is_bipartite_on_the_atlas():
     assert bipartite == 61  # 1, 2, 3, 7, 13 and 35 of orders 1-6 (OEIS A033995)
 
 
-@pytest.mark.parametrize("n", [1, 2, 30, 62, 63, 64, 100, 300])
+@pytest.mark.parametrize("n", [1, 2, 30, 62, 63, 64, 100, 300, 1000])
 def test_graph6_round_trips_match_networkx(n):
     # 62 is the last one-byte order field; from 63 on the order takes the
     # four-byte form "~" plus three 6-bit digits.
