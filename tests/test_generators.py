@@ -134,6 +134,17 @@ def test_build_dispatch():
     assert build(GraphFamilySpec("complete", (6,))) == generators.complete(6)
 
 
+def test_build_coerces_each_parameter_to_its_constructors_type():
+    assert build(GraphFamilySpec("complete", (6.0,))) == generators.complete(6)
+    assert build(GraphFamilySpec("gnp", (8, 1), seed=0)) == generators.gnp(8, 1.0, seed=0)
+
+
+def test_build_passes_the_seed_only_to_seeded_families():
+    assert build(GraphFamilySpec("petersen", (), seed=5)) == generators.petersen()
+    with pytest.raises(ValueError, match=r"takes 0 parameter\(s\), got 1"):
+        build(GraphFamilySpec("petersen", (3,)))
+
+
 def test_build_rejects_bad_specs():
     with pytest.raises(ValueError, match="unknown graph family"):
         build(GraphFamilySpec("moebius"))
@@ -171,3 +182,4 @@ def test_family_spec_round_trips_through_its_string():
     assert [spec.family for spec in ONE_SPEC_PER_FAMILY] == list(FAMILIES)
     for spec in ONE_SPEC_PER_FAMILY:
         assert parse_family(str(spec)) == spec
+        assert build(spec).n > 0
