@@ -19,10 +19,9 @@ never decides.
 theorem (a stable id used in reports), the targets it bounds, its formula,
 its hypotheses in the order they are checked, each with the reason reported
 when it fails, and whether its value is degenerate on disconnected graphs. A
-formula's parameter names are the graph quantities it reads: each is passed
-by name, and they are the report row's ``inputs``, in the same order. A
-theorem whose hypotheses fail yields no number, only the first failing
-reason; ``THEOREM_IDS`` lists the table's ids in order.
+formula's parameter names are the graph quantities it reads, and each is
+passed by name. A theorem whose hypotheses fail yields no number, only the
+first failing reason; ``THEOREM_IDS`` lists the table's ids in order.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ class BoundResult:
     applicable: bool = True
     reason: str | None = None
     degenerate: bool = False
-    inputs: dict = field(default_factory=dict)
 
 
 def safe_ceil(x: float) -> int:
@@ -296,13 +294,12 @@ def evaluate_all(
                 BoundResult(theorem.id, target, None, applicable=False, reason=reason) for target in theorem.targets
             )
             continue
-        inputs = {name: quantities[name] for name in theorem.inputs}
-        values = theorem.formula(**inputs)
+        values = theorem.formula(**{name: quantities[name] for name in theorem.inputs})
         if len(theorem.targets) == 1:
             values = (values,)
         degenerate = theorem.degenerate_if_disconnected and not quantities["connected"]
         results.extend(
-            BoundResult(theorem.id, target, value, degenerate=degenerate, inputs=dict(inputs))
+            BoundResult(theorem.id, target, value, degenerate=degenerate)
             for target, value in zip(theorem.targets, values)
         )
     return results

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .graph_core import MAX_ORDER, Graph, _check_order
 
@@ -242,47 +243,44 @@ def _switched_circulant(n: int, d: int, rng: random.Random) -> list[tuple[int, i
     return edges
 
 
-class Family(NamedTuple):
-    """A buildable family: its constructor and the type of each numeric parameter."""
-
-    constructor: Callable[..., Graph]
-    param_types: tuple[type, ...] = ()
-    seeded: bool = False
-
-
-# Name -> family, in the order error messages list them.
-FAMILIES: dict[str, Family] = {
-    "complete": Family(complete, (int,)),
-    "complete_bipartite": Family(complete_bipartite, (int, int)),
-    "cycle": Family(cycle, (int,)),
-    "path": Family(path, (int,)),
-    "grid": Family(grid, (int, int)),
-    "hypercube": Family(hypercube, (int,)),
-    "petersen": Family(petersen),
-    "icosahedron": Family(icosahedron),
-    "complete_minus_matching": Family(complete_minus_matching, (int,)),
-    "bowtie": Family(bowtie),
-    "gnp": Family(gnp, (int, float), seeded=True),
-    "random_regular": Family(random_regular, (int, int), seeded=True),
+# Name -> constructor, in the order error messages list them. A family's
+# parameters are its constructor's: ``build`` coerces each to the type its
+# signature names, and passes ``seed`` to a constructor that takes one.
+FAMILIES: dict[str, Callable[..., Graph]] = {
+    "complete": complete,
+    "complete_bipartite": complete_bipartite,
+    "cycle": cycle,
+    "path": path,
+    "grid": grid,
+    "hypercube": hypercube,
+    "petersen": petersen,
+    "icosahedron": icosahedron,
+    "complete_minus_matching": complete_minus_matching,
+    "bowtie": bowtie,
+    "gnp": gnp,
+    "random_regular": random_regular,
 }
 
-def _typed_params(spec: GraphFamilySpec, types: tuple[type, ...]) -> list[int | float]:
-    if len(spec.params) != len(types):
-        raise ValueError(f"family {spec.family!r} takes {len(types)} parameter(s), got {len(spec.params)}")
-    out: list[int | float] = []
-    for p, kind in zip(spec.params, types):
-        if kind is int and isinstance(p, float) and not p.is_integer():
-            raise ValueError(f"family {spec.family!r} takes integer parameters, got {p}")
-        out.append(kind(p))
-    return out
+# Name -> its constructor's parameters, read once.
+_PARAMETERS = {
+    name: inspect.signature(constructor, eval_str=True).parameters for name, constructor in FAMILIES.items()
+}
 
 
 def build(spec: GraphFamilySpec) -> Graph:
     """Construct the graph described by a family spec; deterministic for fixed spec."""
-    family = FAMILIES.get(spec.family)
-    if family is None:
+    constructor = FAMILIES.get(spec.family)
+    if constructor is None:
         raise ValueError(f"unknown graph family {spec.family!r}")
-    params = _typed_params(spec, family.param_types)
-    if family.seeded:
-        return family.constructor(*params, seed=spec.seed)
-    return family.constructor(*params)
+    parameters = _PARAMETERS[spec.family]
+    types = [parameter.annotation for name, parameter in parameters.items() if name != "seed"]
+    if len(spec.params) != len(types):
+        raise ValueError(f"family {spec.family!r} takes {len(types)} parameter(s), got {len(spec.params)}")
+    params: list[int | float] = []
+    for p, kind in zip(spec.params, types):
+        if kind is int and isinstance(p, float) and not p.is_integer():
+            raise ValueError(f"family {spec.family!r} takes integer parameters, got {p}")
+        params.append(kind(p))
+    if "seed" in parameters:
+        return constructor(*params, seed=spec.seed)
+    return constructor(*params)

@@ -138,10 +138,6 @@ def analyze(
             entry["reason"] = row.reason
         if row.degenerate:
             entry["degenerate"] = True
-        entry["inputs"] = {
-            key: _round12(value) if isinstance(value, float) else value
-            for key, value in row.inputs.items()
-        }
         target_exact = exact_by_target.get(row.target)
         if row.applicable and target_exact is not None:
             entry["exact"] = target_exact

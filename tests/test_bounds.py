@@ -450,7 +450,6 @@ class TestEvaluateAll:
         monkeypatch.setattr(bounds, "_THEOREMS", (planted,))
         (row,) = evaluate_all(generators.path(5), None)
         assert row.value == 405
-        assert list(row.inputs.items()) == [("m", 4), ("n", 5)]
 
     def test_values_never_negative(self, corpus):
         for g in corpus.values():

@@ -91,6 +91,16 @@ class TestAnalyze:
         }
         assert "generated_at" not in report
         assert all(row["gap"] >= 0 for row in report["bounds"] if "gap" in row)
+        # A bound row holds its result only; the quantities a theorem reads
+        # are stated once, in the graph and spectral blocks. Every theorem
+        # applies to Petersen; on the 2-regular cycle:6 the girth one does not.
+        _, cycle_out, _ = run(capsys, "analyze", "cycle:6", "--bounds-only", "--deterministic")
+        rows = report["bounds"] + json.loads(cycle_out)["bounds"]
+        row_keys = {"theorem", "target", "value", "applicable", "reason", "degenerate", "exact", "gap"}
+        assert all(set(row) <= row_keys for row in rows)
+        assert all("reason" not in row for row in rows if row["applicable"])
+        inapplicable = [row for row in rows if not row["applicable"]]
+        assert inapplicable and all(row["value"] is None and row["reason"] for row in inapplicable)
 
     def test_theorem_filter(self, capsys):
         code, out, _ = run(capsys, "analyze", "petersen", "--theorems", "def-mu,dom-laplacian", "--deterministic")

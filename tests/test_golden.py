@@ -13,7 +13,7 @@ from alliances.report import analyze, report_to_json
 
 from corpus import named_graphs
 
-GOLDEN_DIGEST = "7100893e6fd98f5f61e85598bc73a760eacb381eb2b6af30d6a75856ca47eb27"
+GOLDEN_DIGEST = "42b95176719ea42ac2ebe4db0047ee7ae8955d53e5a5f0c9eca10fc1ea77372e"
 
 
 def test_named_corpus_reports_are_unchanged():
