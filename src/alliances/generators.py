@@ -261,9 +261,14 @@ FAMILIES: dict[str, Callable[..., Graph]] = {
     "random_regular": random_regular,
 }
 
-# Name -> its constructor's parameters, read once.
+# Name -> its constructor's parameters, and the types of all but ``seed``,
+# read once.
 _PARAMETERS = {
     name: inspect.signature(constructor, eval_str=True).parameters for name, constructor in FAMILIES.items()
+}
+_TYPES = {
+    name: tuple(parameter.annotation for key, parameter in parameters.items() if key != "seed")
+    for name, parameters in _PARAMETERS.items()
 }
 
 
@@ -272,8 +277,7 @@ def build(spec: GraphFamilySpec) -> Graph:
     constructor = FAMILIES.get(spec.family)
     if constructor is None:
         raise ValueError(f"unknown graph family {spec.family!r}")
-    parameters = _PARAMETERS[spec.family]
-    types = [parameter.annotation for name, parameter in parameters.items() if name != "seed"]
+    types = _TYPES[spec.family]
     if len(spec.params) != len(types):
         raise ValueError(f"family {spec.family!r} takes {len(types)} parameter(s), got {len(spec.params)}")
     params: list[int | float] = []
@@ -281,6 +285,6 @@ def build(spec: GraphFamilySpec) -> Graph:
         if kind is int and isinstance(p, float) and not p.is_integer():
             raise ValueError(f"family {spec.family!r} takes integer parameters, got {p}")
         params.append(kind(p))
-    if "seed" in parameters:
+    if "seed" in _PARAMETERS[spec.family]:
         return constructor(*params, seed=spec.seed)
     return constructor(*params)
