@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .graph_core import Graph, degree_stats, is_connected
+from .graph_core import Graph
 from .spectral import SpectralSummary
 
 __all__ = [
@@ -270,14 +270,13 @@ def evaluate_all(
     spectral theorems are then reported inapplicable.
     """
     selected = select_theorems(theorems)
-    stats = degree_stats(g)
     quantities = {
         "n": g.n,
         "m": g.m,
-        "min_degree": stats.min_degree,
-        "max_degree": stats.max_degree,
-        "degree": stats.regular,
-        "connected": is_connected(g),
+        "min_degree": g.min_degree,
+        "max_degree": g.max_degree,
+        "degree": g.regular,
+        "connected": g.components == 1,
         "algebraic_connectivity": summary.algebraic_connectivity if summary is not None else None,
         "spectral_radius": summary.spectral_radius if summary is not None else None,
         "laplacian_radius": summary.laplacian_radius if summary is not None else None,

@@ -1,25 +1,25 @@
-"""Immutable simple graphs and vertex subsets, and the graph facts (girth,
-connectivity, degrees, two-colouring) built on them."""
+"""Immutable simple graphs and vertex subsets, and the graph facts built on them.
+
+A ``Graph`` computes its degree extremes, its common degree when regular,
+and its number of connected components once, at construction: they are the
+fields ``min_degree``, ``max_degree``, ``regular`` and ``components``. The
+girth and the two-colouring are functions that run when called."""
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 __all__ = [
     "Graph",
     "VertexSet",
-    "DegreeStats",
     "girth",
-    "component_count",
-    "is_connected",
-    "degree_stats",
     "MAX_ORDER",
 ]
 
-# The largest order any graph may have. An ``analyze`` holds three dense
-# float64 n x n arrays, about 400 MB at this order.
+# The largest order any graph may have. The spectral summary peaks at about
+# five dense float64 n x n arrays, about 670 MB at this order.
 MAX_ORDER = 4096
 
 
@@ -36,11 +36,15 @@ class Graph:
     subset is a single AND plus popcount. Instances are immutable after
     construction.
 
+    Besides ``n`` and ``m``, construction computes ``min_degree``,
+    ``max_degree``, ``regular`` (the common degree of a regular graph, else
+    None) and ``components`` (the number of connected components), once.
+
     Duplicate edges collapse silently; self-loops are rejected, and so is
     an order above ``MAX_ORDER``.
     """
 
-    __slots__ = ("n", "m", "adjacency", "masks")
+    __slots__ = ("n", "m", "adjacency", "masks", "min_degree", "max_degree", "regular", "components")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
@@ -54,10 +58,28 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             neighbor_sets[u].add(v)
             neighbor_sets[v].add(u)
+        degrees = [len(s) for s in neighbor_sets]
         self.n = n
-        self.m = sum(len(s) for s in neighbor_sets) // 2
-        self.adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
-        self.masks = tuple(sum(1 << u for u in nbrs) for nbrs in self.adjacency)
+        self.m = sum(degrees) // 2
+        self.adjacency = adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
+        self.masks = tuple(sum(1 << u for u in nbrs) for nbrs in adjacency)
+        self.min_degree, self.max_degree = lo, hi = min(degrees), max(degrees)
+        self.regular = lo if lo == hi else None
+        # The components: one BFS from each unseen vertex.
+        seen = [False] * n
+        count = 0
+        for root in range(n):
+            if seen[root]:
+                continue
+            count += 1
+            seen[root] = True
+            component = [root]
+            for u in component:  # grows as the BFS appends to it
+                for w in adjacency[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        component.append(w)
+        self.components = count
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -136,12 +158,6 @@ class VertexSet:
         return f"VertexSet({{{', '.join(map(str, self))}}})"
 
 
-class DegreeStats(NamedTuple):
-    min_degree: int
-    max_degree: int
-    regular: int | None  # the common degree when the graph is regular
-
-
 def _check_set(g: Graph, s: VertexSet) -> None:
     if s.mask >> g.n:
         raise ValueError(f"vertex set {s!r} contains indices >= n={g.n}")
@@ -177,36 +193,6 @@ def girth(g: Graph) -> int | float:
         if best == 3:
             break
     return best
-
-
-def component_count(g: Graph) -> int:
-    """The number of connected components, one BFS from each unseen vertex."""
-    seen = [False] * g.n
-    count = 0
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        count += 1
-        seen[root] = True
-        component = [root]
-        for u in component:  # grows as the BFS appends to it
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    component.append(w)
-    return count
-
-
-def is_connected(g: Graph) -> bool:
-    """True iff the graph has one connected component."""
-    return component_count(g) == 1
-
-
-def degree_stats(g: Graph) -> DegreeStats:
-    """Minimum and maximum degree, plus the common degree for regular graphs."""
-    degrees = [len(nbrs) for nbrs in g.adjacency]
-    lo, hi = min(degrees), max(degrees)
-    return DegreeStats(lo, hi, lo if lo == hi else None)
 
 
 def _two_colouring(g: Graph) -> tuple[list[int], list[int]] | None:

@@ -20,7 +20,7 @@ from .alliance_solver import (
     min_alliance_number,
 )
 from .generators import GraphFamilySpec, build
-from .graph_core import Graph, degree_stats, girth, is_connected
+from .graph_core import Graph, girth
 from .io_formats import write_edgelist, write_graph6
 from .spectral import UndefinedQuantityError, spectral_summary
 
@@ -115,7 +115,6 @@ def analyze(
     for spec in [] if bounds_only else requested:
         results[spec.name] = _solve_exact(g, spec, limits, results)
     exact = {name: {"value": result.value, "witness": list(result.witness)} for name, result in results.items()}
-    stats = degree_stats(g)
     girth_value = girth(g)
     try:
         summary = spectral_summary(g)
@@ -155,10 +154,10 @@ def analyze(
         "graph": {
             "n": g.n,
             "m": g.m,
-            "min_degree": stats.min_degree,
-            "max_degree": stats.max_degree,
-            "regular": stats.regular,
-            "connected": is_connected(g),
+            "min_degree": g.min_degree,
+            "max_degree": g.max_degree,
+            "regular": g.regular,
+            "connected": g.components == 1,
             "girth": _girth_json(girth_value),
         },
     }

@@ -5,15 +5,15 @@ accurate far below the integer-snapping threshold used downstream. It always
 solves to the off-diagonal residual ``DEFAULT_TOL`` within ``MAX_SWEEPS``
 sweeps. The suite checks it against an independent power iteration kept with
 the tests. Connectivity is a graph fact: the Laplacian's eigenvalue 0 has
-multiplicity the number of connected components, counted by
-``graph_core.component_count``, and those leading entries of the spectrum are
-set to 0.0 exactly rather than left at solver noise.
+multiplicity the number of connected components, the graph's ``components``
+field, and those leading entries of the spectrum are set to 0.0 exactly
+rather than left at solver noise.
 
 A d-regular graph takes one eigensolve, of its Laplacian: its adjacency
 spectral radius is d exactly (Perron–Frobenius; the all-ones vector is an
 eigenvector and no eigenvalue exceeds the maximum degree), so it is reported
 as ``float(d)`` without solving the adjacency matrix. Regularity is read from
-``graph_core.degree_stats``.
+the graph's ``regular`` field.
 
 Any other bipartite graph solves a half-order matrix in place of its
 adjacency matrix. With the vertices ordered by colour class, A = [[0, B],
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph, _two_colouring, component_count, degree_stats
+from .graph_core import Graph, _two_colouring
 
 __all__ = [
     "SpectralSummary",
@@ -165,10 +165,9 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     adjacency = adjacency_matrix(g)
     lap_spectrum, sweeps, _ = jacobi_spectrum(np.diag(adjacency.sum(axis=1)) - adjacency)
     # Eigenvalue 0 of the Laplacian has multiplicity the number of components.
-    lap_spectrum[: component_count(g)] = 0.0
-    degree = degree_stats(g).regular
-    if degree is not None:
-        radius = float(degree)
+    lap_spectrum[: g.components] = 0.0
+    if g.regular is not None:
+        radius = float(g.regular)
     else:
         colouring = _two_colouring(g)
         if colouring is not None:

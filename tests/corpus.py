@@ -3,7 +3,7 @@
 import random
 
 from alliances import generators
-from alliances.graph_core import Graph, is_connected
+from alliances.graph_core import Graph
 
 
 def named_graphs() -> dict[str, Graph]:
@@ -55,7 +55,7 @@ def random_connected_graphs(count: int, seed: int, min_n: int = 4, max_n: int = 
         n = rng.randint(min_n, max_n)
         p = rng.uniform(0.2, 0.9)
         g = generators.gnp(n, p, seed=seed * 100003 + attempt)
-        if is_connected(g):
+        if g.components == 1:
             out.append(g)
     return out
 

@@ -23,7 +23,7 @@ from alliances.alliance_solver import (
     _search_exact,
     _tables,
 )
-from alliances.graph_core import Graph, VertexSet, degree_stats, girth
+from alliances.graph_core import Graph, VertexSet, girth
 
 from naive import naive_minimum, naive_minimum_witness, naive_satisfies
 from strategies import graph_and_proper_subset, graphs
@@ -200,7 +200,7 @@ class TestWitnesses:
         candidates += [generators.grid(2, 3), generators.grid(2, 4), generators.grid(3, 3)]
         rng = random.Random(99)
         candidates += [generators.gnp(rng.randint(5, 9), rng.uniform(0.25, 0.8), seed=trial) for trial in range(20)]
-        irregular = [g for g in candidates if degree_stats(g).regular is None]
+        irregular = [g for g in candidates if g.regular is None]
         assert len(irregular) >= 25
         for g in irregular:
             for name in VARIANTS:

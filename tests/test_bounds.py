@@ -22,7 +22,7 @@ from alliances.bounds import (
     safe_ceil,
     strong_defensive_connectivity_degree,
 )
-from alliances.graph_core import Graph, degree_stats
+from alliances.graph_core import Graph
 from alliances.spectral import spectral_summary
 
 from corpus import regular_graphs
@@ -185,7 +185,7 @@ def _assert_lambda_rows_exact(g, monkeypatch):
     # On a d-regular graph lambda = d exactly, so each lambda row is a ceiling
     # of a rational in n, m and d. The rows must not move with SNAP set to 0:
     # SNAP decides none of them.
-    n, m, d = g.n, g.m, degree_stats(g).regular
+    n, m, d = g.n, g.m, g.regular
     expected = {
         ("globdef-lambda", "global_defensive"): math.ceil(Fraction(n, d + 2)),
         ("globdef-lambda", "global_strong_defensive"): math.ceil(Fraction(n, d + 1)),

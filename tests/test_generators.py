@@ -4,20 +4,20 @@ import pytest
 
 from alliances import generators
 from alliances.generators import FAMILIES, GraphFamilySpec, build, parse_family
-from alliances.graph_core import degree_stats, girth, is_connected
+from alliances.graph_core import girth
 from alliances.io_formats import write_graph6
 
 
 def test_complete():
     g = generators.complete(6)
     assert (g.n, g.m) == (6, 15)
-    assert degree_stats(g).regular == 5
+    assert g.regular == 5
 
 
 def test_complete_bipartite():
     g = generators.complete_bipartite(3, 6)
     assert (g.n, g.m) == (9, 18)
-    assert degree_stats(g) == (3, 6, None)
+    assert (g.min_degree, g.max_degree, g.regular) == (3, 6, None)
 
 
 def test_cycle_and_path():
@@ -51,22 +51,22 @@ def test_hypercube_is_bipartite():
 def test_petersen_shape():
     g = generators.petersen()
     assert (g.n, g.m) == (10, 15)
-    assert degree_stats(g).regular == 3
+    assert g.regular == 3
     assert girth(g) == 5
 
 
 def test_icosahedron_shape():
     g = generators.icosahedron()
     assert (g.n, g.m) == (12, 30)
-    assert degree_stats(g).regular == 5
-    assert is_connected(g)
+    assert g.regular == 5
+    assert g.components == 1
     assert girth(g) == 3
 
 
 def test_complete_minus_matching():
     g = generators.complete_minus_matching(6)
     assert (g.n, g.m) == (6, 12)
-    assert degree_stats(g).regular == 4
+    assert g.regular == 4
     assert not g.has_edge(0, 1) and not g.has_edge(2, 3) and not g.has_edge(4, 5)
     with pytest.raises(ValueError):
         generators.complete_minus_matching(5)
@@ -90,7 +90,7 @@ def test_gnp_extremes_and_determinism():
 
 def test_random_regular():
     g = generators.random_regular(10, 3, seed=7)
-    assert degree_stats(g).regular == 3
+    assert g.regular == 3
     assert generators.random_regular(10, 3, seed=7) == g
     with pytest.raises(ValueError):
         generators.random_regular(5, 3)  # n*d odd
@@ -122,7 +122,7 @@ def test_random_regular_dense_degrees(n, d):
     drawn = set()
     for seed in range(10):
         g = generators.random_regular(n, d, seed=seed)
-        assert degree_stats(g).regular == d
+        assert g.regular == d
         assert g.m == n * d // 2
         drawn.add(g)
     assert len(drawn) > 1

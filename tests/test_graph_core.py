@@ -8,9 +8,7 @@ from alliances.graph_core import (
     Graph,
     VertexSet,
     _two_colouring,
-    degree_stats,
     girth,
-    is_connected,
 )
 from alliances import generators
 
@@ -79,7 +77,7 @@ class TestVertexSet:
             VertexSet([-1])
 
 
-def _component_count(g):
+def _components_by_dfs(g):
     seen = [False] * g.n
     count = 0
     for start in range(g.n):
@@ -135,7 +133,7 @@ class TestGirth:
     @given(graphs())
     def test_infinite_iff_forest(self, g):
         acyclic = math.isinf(girth(g))
-        assert acyclic == (g.m <= g.n - _component_count(g))
+        assert acyclic == (g.m <= g.n - _components_by_dfs(g))
 
     @given(graphs(max_n=9))
     def test_matches_edge_removal_oracle(self, g):
@@ -144,15 +142,18 @@ class TestGirth:
 
 class TestConnectivityAndDegrees:
     def test_connected_examples(self):
-        assert is_connected(generators.complete(4))
-        assert is_connected(Graph(1))
+        assert generators.complete(4).components == 1
+        assert Graph(1).components == 1
         two_edges = Graph(4, [(0, 1), (2, 3)])
-        assert not is_connected(two_edges)
+        assert two_edges.components != 1
 
-    def test_degree_stats(self):
-        assert degree_stats(generators.petersen()) == (3, 3, 3)
-        assert degree_stats(generators.complete_bipartite(3, 6)) == (3, 6, None)
-        assert degree_stats(Graph(1)) == (0, 0, 0)
+    def test_degree_fields(self):
+        g = generators.petersen()
+        assert (g.min_degree, g.max_degree, g.regular) == (3, 3, 3)
+        g = generators.complete_bipartite(3, 6)
+        assert (g.min_degree, g.max_degree, g.regular) == (3, 6, None)
+        g = Graph(1)
+        assert (g.min_degree, g.max_degree, g.regular) == (0, 0, 0)
 
 
 class TestTwoColouring:

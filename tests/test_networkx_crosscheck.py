@@ -1,5 +1,5 @@
 """Cross-checks against networkx, an implementation that shares no code
-with this package: girth, connected components, two-colouring, the graph6
+with this package: girth, connected components, degrees, two-colouring, the graph6
 encoding, order fields included, every graph of order 1-6 in its atlas and
 every tree of order 9-11 through ``analyze``, with the bounds' tightness
 census over each pinned. Test-only; skipped where networkx is not
@@ -16,10 +16,7 @@ from alliances.graph_core import (
     MAX_ORDER,
     Graph,
     _two_colouring,
-    component_count,
-    degree_stats,
     girth,
-    is_connected,
 )
 from alliances.io_formats import ParseError, parse_graph6, write_graph6
 
@@ -57,20 +54,26 @@ def test_girth_matches_networkx(name):
     assert girth(g) == nx.girth(_to_nx(g))
 
 
-def test_components_match_networkx_on_the_atlas():
+def test_components_and_degrees_match_networkx_on_the_atlas():
     # The component count decides how many Laplacian eigenvalues
-    # ``spectral_summary`` sets to exactly 0.0, so check it on every graph
-    # of order 1-6.
+    # ``spectral_summary`` sets to exactly 0.0, and the degree fields decide
+    # which theorems apply and whether the spectral radius is read off the
+    # degree, so check them on every graph of order 1-6.
     atlas = [h for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= 6]
-    disconnected = 0
+    disconnected = regular = 0
     for h in atlas:
         g = Graph(h.number_of_nodes(), h.edges())
         count = nx.number_connected_components(h)
-        assert component_count(g) == count, nx.to_graph6_bytes(h)
-        assert is_connected(g) == (count == 1), nx.to_graph6_bytes(h)
+        degrees = [d for _, d in h.degree()]
+        assert g.components == count, nx.to_graph6_bytes(h)
+        assert g.min_degree == min(degrees), nx.to_graph6_bytes(h)
+        assert g.max_degree == max(degrees), nx.to_graph6_bytes(h)
+        assert g.regular == (degrees[0] if nx.is_regular(h) else None), nx.to_graph6_bytes(h)
         disconnected += count > 1
+        regular += g.regular is not None
     assert len(atlas) == 208
     assert disconnected == 208 - 143  # 1, 1, 2, 6, 21 and 112 connected (OEIS A001349)
+    assert regular == 20  # 1, 2, 2, 4, 3 and 8 regular (OEIS A005176)
 
 
 def test_two_colouring_matches_is_bipartite_on_the_atlas():
@@ -239,7 +242,7 @@ def test_every_tree_of_order_nine_to_eleven():
         for h in nx.nonisomorphic_trees(n):
             trees[n] += 1
             g = Graph(n, h.edges())
-            assert _two_colouring(g) is not None and degree_stats(g).regular is None
+            assert _two_colouring(g) is not None and g.regular is None
             result = report.analyze(g, specs=tuple(VARIANTS), deterministic=True)
             for row in result["bounds"]:
                 assert not row.get("degenerate")
