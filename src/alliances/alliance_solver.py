@@ -229,7 +229,7 @@ def _tables(g: Graph, cond: _Conditions) -> _Tables:
         closed=[m | 1 << v for v, m in enumerate(masks)],
         need_in=need_in,
         need_out=need_out,
-        per_member=max(degree) + max(need_out),
+        per_member=g.max_degree + max(need_out),
         earlier=[tuple(w for w in adjacency[v] if w < v) for v in range(n)],
     )
 

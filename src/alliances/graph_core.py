@@ -1,9 +1,10 @@
 """Immutable simple graphs and vertex subsets, and the graph facts built on them.
 
 A ``Graph`` computes its degree extremes, its common degree when regular,
-and its number of connected components once, at construction: they are the
-fields ``min_degree``, ``max_degree``, ``regular`` and ``components``. The
-girth and the two-colouring are functions that run when called."""
+its number of connected components and, when it is bipartite, the first of
+its two colour classes once, at construction: they are the fields
+``min_degree``, ``max_degree``, ``regular``, ``components`` and
+``first_class``. The girth is a function that runs when called."""
 
 from __future__ import annotations
 
@@ -38,13 +39,17 @@ class Graph:
 
     Besides ``n`` and ``m``, construction computes ``min_degree``,
     ``max_degree``, ``regular`` (the common degree of a regular graph, else
-    None) and ``components`` (the number of connected components), once.
+    None), ``components`` (the number of connected components) and
+    ``first_class``, once. ``first_class`` is None when the graph has an odd
+    cycle; otherwise it is the bitmask of the smaller colour class of each
+    component (the side of its least vertex on a tie), so it holds at most
+    half of each component and no isolated vertex.
 
     Duplicate edges collapse silently; self-loops are rejected, and so is
     an order above ``MAX_ORDER``.
     """
 
-    __slots__ = ("n", "m", "adjacency", "masks", "min_degree", "max_degree", "regular", "components")
+    __slots__ = ("n", "m", "adjacency", "masks", "min_degree", "max_degree", "regular", "components", "first_class")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
@@ -62,24 +67,42 @@ class Graph:
         self.n = n
         self.m = sum(degrees) // 2
         self.adjacency = adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
-        self.masks = tuple(sum(1 << u for u in nbrs) for nbrs in adjacency)
+        self.masks = masks = tuple(sum(1 << u for u in nbrs) for nbrs in adjacency)
         self.min_degree, self.max_degree = lo, hi = min(degrees), max(degrees)
         self.regular = lo if lo == hi else None
-        # The components: one BFS from each unseen vertex.
-        seen = [False] * n
+        # One BFS from each unseen vertex counts the components and colours
+        # each vertex by the parity of its depth. Until an odd cycle is met,
+        # sides[c] is the mask of the component's colour-c vertices found so
+        # far. A vertex is popped only once every vertex of its depth has
+        # been found, so a neighbour on its own side is an edge inside one
+        # depth, which closes an odd cycle; from then on first_class is None
+        # and the BFS only counts.
+        colour = [-1] * n
         count = 0
+        first_class: int | None = 0
         for root in range(n):
-            if seen[root]:
+            if colour[root] != -1:
                 continue
             count += 1
-            seen[root] = True
+            colour[root] = 0
             component = [root]
+            sides = [1 << root, 0]
             for u in component:  # grows as the BFS appends to it
+                cu = colour[u]
+                other = 1 - cu
+                if first_class is not None and masks[u] & sides[cu]:
+                    first_class = None
                 for w in adjacency[u]:
-                    if not seen[w]:
-                        seen[w] = True
+                    if colour[w] == -1:
+                        colour[w] = other
                         component.append(w)
+                        if first_class is not None:
+                            sides[other] |= 1 << w
+            if first_class is not None:
+                # The smaller side, the root's on a tie.
+                first_class |= sides[1] if 2 * sides[1].bit_count() < len(component) else sides[0]
         self.components = count
+        self.first_class = first_class
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -194,32 +217,3 @@ def girth(g: Graph) -> int | float:
             break
     return best
 
-
-def _two_colouring(g: Graph) -> tuple[list[int], list[int]] | None:
-    """The two colour classes of a bipartite graph, each in index order, or
-    None as soon as a BFS meets an odd cycle.
-
-    Each component is coloured by a BFS from its least vertex. The first
-    class takes the smaller side of every component (the root's side on a
-    tie), so it holds at most ``n // 2`` vertices and no isolated vertex.
-    """
-    colour = [-1] * g.n
-    first = [False] * g.n
-    for root in range(g.n):
-        if colour[root] != -1:
-            continue
-        colour[root] = 0
-        component = [root]
-        for u in component:  # grows as the BFS appends to it
-            cu = colour[u]
-            for w in g.adjacency[u]:
-                if colour[w] == -1:
-                    colour[w] = 1 - cu
-                    component.append(w)
-                elif colour[w] == cu:
-                    return None
-        ones = sum(colour[v] for v in component)
-        side = 1 if 2 * ones < len(component) else 0
-        for v in component:
-            first[v] = colour[v] == side
-    return [v for v in range(g.n) if first[v]], [v for v in range(g.n) if not first[v]]

@@ -19,9 +19,9 @@ Any other bipartite graph solves a half-order matrix in place of its
 adjacency matrix. With the vertices ordered by colour class, A = [[0, B],
 [Bᵀ, 0]], and λ(A)² is the largest eigenvalue of BBᵀ (Brouwer & Haemers,
 *Spectra of Graphs*, 2012, §1.3). BBᵀ is the integer matrix of
-common-neighbour counts between the vertices of the first class of
-``graph_core._two_colouring``, the smaller side of each component, so its
-order is at most n // 2; λ is the square root of its top eigenvalue.
+common-neighbour counts between the vertices of the graph's ``first_class``,
+the smaller colour class of each component, so its order is at most n // 2;
+λ is the square root of its top eigenvalue.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph, _two_colouring
+from .graph_core import Graph, VertexSet
 
 __all__ = [
     "SpectralSummary",
@@ -168,17 +168,16 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     lap_spectrum[: g.components] = 0.0
     if g.regular is not None:
         radius = float(g.regular)
+    elif g.first_class is not None:
+        # Rows of A for the first class: their Gram matrix is BBᵀ.
+        rows = adjacency[list(VertexSet.from_mask(g.first_class))]
+        spectrum, more_sweeps, _ = jacobi_spectrum(rows @ rows.T)
+        radius = math.sqrt(spectrum[-1])
+        sweeps += more_sweeps
     else:
-        colouring = _two_colouring(g)
-        if colouring is not None:
-            # Rows of A for the first class: their Gram matrix is BBᵀ.
-            rows = adjacency[colouring[0]]
-            spectrum, more_sweeps, _ = jacobi_spectrum(rows @ rows.T)
-            radius = math.sqrt(spectrum[-1])
-        else:
-            spectrum, more_sweeps, _ = jacobi_spectrum(adjacency)
-            # For a nonnegative symmetric matrix the largest eigenvalue is the spectral radius.
-            radius = float(spectrum[-1])
+        spectrum, more_sweeps, _ = jacobi_spectrum(adjacency)
+        # For a nonnegative symmetric matrix the largest eigenvalue is the spectral radius.
+        radius = float(spectrum[-1])
         sweeps += more_sweeps
     return SpectralSummary(
         spectral_radius=radius,

@@ -7,7 +7,6 @@ from alliances.graph_core import (
     MAX_ORDER,
     Graph,
     VertexSet,
-    _two_colouring,
     girth,
 )
 from alliances import generators
@@ -157,22 +156,27 @@ class TestConnectivityAndDegrees:
 
 
 class TestTwoColouring:
+    """``Graph.first_class``: a mask of the smaller colour class of each
+    component, or None when the graph has an odd cycle."""
+
     def test_odd_cycles_have_none(self):
-        assert _two_colouring(triangle()) is None
-        assert _two_colouring(generators.cycle(7)) is None
-        assert _two_colouring(generators.petersen()) is None
+        assert triangle().first_class is None
+        assert generators.cycle(7).first_class is None
+        assert generators.petersen().first_class is None
+        # An edge 0-1, then a triangle found after that bipartite component.
+        assert Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)]).first_class is None
 
     def test_first_class_is_the_smaller_side_of_each_component(self):
         # A star on 0..3 centred at 0, a path 4-5-6 and the isolated vertex 7.
         g = Graph(8, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)])
-        assert _two_colouring(g) == ([0, 5], [1, 2, 3, 4, 6, 7])
+        assert list(VertexSet.from_mask(g.first_class)) == [0, 5]
 
     def test_a_tie_keeps_the_root_side(self):
-        assert _two_colouring(generators.path(4)) == ([0, 2], [1, 3])
-        assert _two_colouring(generators.complete(2)) == ([0], [1])
+        assert list(VertexSet.from_mask(generators.path(4).first_class)) == [0, 2]
+        assert list(VertexSet.from_mask(generators.complete(2).first_class)) == [0]
 
     def test_edgeless(self):
-        assert _two_colouring(Graph(3)) == ([], [0, 1, 2])
+        assert Graph(3).first_class == 0
 
 
 class TestCountingClaims:

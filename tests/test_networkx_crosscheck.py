@@ -5,6 +5,7 @@ every tree of order 9-11 through ``analyze``, with the bounds' tightness
 census over each pinned. Test-only; skipped where networkx is not
 installed."""
 
+import random
 import re
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from alliances.alliance_solver import VARIANTS, AllianceSpec, min_alliance_numbe
 from alliances.graph_core import (
     MAX_ORDER,
     Graph,
-    _two_colouring,
+    VertexSet,
     girth,
 )
 from alliances.io_formats import ParseError, parse_graph6, write_graph6
@@ -76,24 +77,76 @@ def test_components_and_degrees_match_networkx_on_the_atlas():
     assert regular == 20  # 1, 2, 2, 4, 3 and 8 regular (OEIS A005176)
 
 
+def _check_first_class(g: Graph, h) -> bool:
+    """``g.first_class`` is set exactly when networkx finds ``h`` bipartite,
+    and then it meets every edge once and holds the smaller side of each
+    component, the side of its least vertex on a tie. Returns whether ``h``
+    is bipartite."""
+    label = nx.to_graph6_bytes(h)
+    bipartite = nx.is_bipartite(h)
+    assert (g.first_class is not None) == bipartite, label
+    if bipartite:
+        first = set(VertexSet.from_mask(g.first_class))
+        assert all((u in first) != (v in first) for u, v in g.edges()), label
+        assert all(g.degree(v) for v in first), label
+        for component in nx.connected_components(h):
+            inside = len(first & component)
+            assert inside <= len(component) // 2, label
+            if 2 * inside == len(component):
+                assert min(component) in first, label
+    return bipartite
+
+
 def test_two_colouring_matches_is_bipartite_on_the_atlas():
-    # Every graph of order 1-6: a colouring exactly when networkx finds the
-    # graph bipartite, and then two independent classes covering V, the
-    # first of at most n // 2 vertices.
+    # Every graph of order 1-6.
     atlas = [h for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= 6]
-    bipartite = 0
-    for h in atlas:
-        g = Graph(h.number_of_nodes(), h.edges())
-        colouring = _two_colouring(g)
-        assert (colouring is not None) == nx.is_bipartite(h), nx.to_graph6_bytes(h)
-        if colouring is not None:
-            bipartite += 1
-            assert sorted(colouring[0] + colouring[1]) == list(range(g.n))
-            assert len(colouring[0]) <= g.n // 2
-            for cls in colouring:
-                assert not any(g.has_edge(u, v) for u in cls for v in cls)
+    bipartite = sum(_check_first_class(Graph(h.number_of_nodes(), h.edges()), h) for h in atlas)
     assert len(atlas) == 208
     assert bipartite == 61  # 1, 2, 3, 7, 13 and 35 of orders 1-6 (OEIS A033995)
+
+
+def _seeded_multi_component_graph(rng: random.Random):
+    """A graph of order 8-40 with 1-4 components. Each is a random tree plus
+    random edges across its two sides, and about 40 % of them also get 1-3
+    edges inside one side, each closing an odd cycle. Vertex labels are
+    shuffled, so the components interleave in index order and the least
+    vertex of a component, where its BFS starts, is any vertex of its tree."""
+    n = rng.randint(8, 40)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, 4) - 1))
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges = []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        part = labels[lo:hi]
+        side = {part[0]: 0}
+        for i in range(1, len(part)):
+            parent = part[rng.randrange(i)]
+            side[part[i]] = 1 - side[parent]
+            edges.append((parent, part[i]))
+        same = [(u, v) for u in part for v in part if u < v and side[u] == side[v]]
+        across = [(u, v) for u in part for v in part if u < v and side[u] != side[v]]
+        edges += rng.sample(across, min(len(across), rng.randint(0, len(part))))
+        if same and rng.random() < 0.4:
+            edges += rng.sample(same, rng.randint(1, min(len(same), 3)))
+    return Graph(n, edges), edges
+
+
+def test_first_class_matches_is_bipartite_on_seeded_multi_component_graphs():
+    rng = random.Random(20061)
+    bipartite = multi = mixed = 0
+    for _ in range(200):
+        g, edges = _seeded_multi_component_graph(rng)
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(edges)
+        parts = [nx.is_bipartite(h.subgraph(c)) for c in nx.connected_components(h)]
+        assert g.components == len(parts)
+        multi += len(parts) > 1
+        mixed += any(parts) and not all(parts)
+        bipartite += _check_first_class(g, h)
+    # Both outcomes, several components, and bipartite components beside
+    # odd-cycle ones are each well represented.
+    assert (bipartite, multi, mixed) == (83, 140, 90)
 
 
 @pytest.mark.parametrize("n", [1, 2, 30, 62, 63, 64, 100, 300, 1000])
@@ -242,7 +295,7 @@ def test_every_tree_of_order_nine_to_eleven():
         for h in nx.nonisomorphic_trees(n):
             trees[n] += 1
             g = Graph(n, h.edges())
-            assert _two_colouring(g) is not None and g.regular is None
+            assert g.first_class is not None and g.regular is None
             result = report.analyze(g, specs=tuple(VARIANTS), deterministic=True)
             for row in result["bounds"]:
                 assert not row.get("degenerate")
