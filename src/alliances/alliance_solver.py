@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .graph_core import Graph, VertexSet, _check_set
+from .graph_core import Graph, VertexSet
 
 __all__ = [
     "AllianceSpec",
@@ -185,7 +185,8 @@ def _satisfies(g: Graph, smask: int, cond: _Conditions) -> bool:
 
 def is_alliance(g: Graph, s: VertexSet, spec: AllianceSpec) -> bool:
     """Evaluate the exact conjunction of per-vertex conditions for ``spec``."""
-    _check_set(g, s)
+    if s.mask >> g.n:
+        raise ValueError(f"vertex set {s!r} contains indices >= n={g.n}")
     if s.size == 0:
         raise ValueError(f"{spec.name} sets are nonempty by definition")
     return _satisfies(g, s.mask, VARIANTS[spec.name])
@@ -234,8 +235,10 @@ def _tables(g: Graph, cond: _Conditions) -> _Tables:
     )
 
 
-def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | None) -> int | None:
-    """Lexicographically smallest satisfying k-subset, or None.
+def _search_exact(t: _Tables, k: int, nodes: int, max_nodes: int | None) -> tuple[int | None, int]:
+    """Lexicographically smallest satisfying k-subset as a mask, or None,
+    and the node count: ``nodes``, the count so far, plus the nodes this
+    search spent. ``max_nodes`` caps that running count, not this k's share.
 
     Vertices are decided in/out in index order, in-branch first, so the
     first hit is the lexicographically smallest satisfying k-subset. Each
@@ -292,7 +295,7 @@ def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | 
     # it a fast local, and taking back a join is written out where it
     # happens. A name that a nested function reads from this scope becomes
     # a closure cell, in the main loop too, and cell loads sit in the
-    # per-vertex loops. The node count is a local, written back on exit.
+    # per-vertex loops.
     def bounds_ok(
         first: int, r: int, n=n, full=(1 << n) - 1, in_count=in_count, member=member, masks=masks,
         closed=closed, need_in=need_in, need_out=need_out, per_member=per_member,
@@ -334,19 +337,16 @@ def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | 
         return True
 
     if not bounds_ok(0, k):
-        return None
-    nodes = counter["nodes"]
+        return None, nodes
     chosen = 0
     u = 0
     joins = True  # the branch to try next at vertex u
     while True:
         if u == n:
-            counter["nodes"] = nodes
-            return sum(1 << v for v in range(n) if member[v])
+            return sum(1 << v for v in range(n) if member[v]), nodes
         if (chosen < k) if joins else (chosen + n - u - 1 >= k):
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
-                counter["nodes"] = nodes
                 raise SearchBudgetExceeded(
                     f"node budget {max_nodes} exhausted while searching cardinality {k};"
                     f" no satisfying set of size < {k} exists",
@@ -386,8 +386,7 @@ def _search_exact(t: _Tables, k: int, counter: dict[str, int], max_nodes: int | 
             while True:
                 u -= 1
                 if u < 0:
-                    counter["nodes"] = nodes
-                    return None
+                    return None, nodes
                 if member[u]:
                     member[u] = False
                     for w in adjacency[u]:
@@ -434,15 +433,11 @@ def min_alliance_number(
         if result.value == start and _satisfies(g, result.witness.mask, cond):
             return AllianceResult(value=start, witness=result.witness, nodes_explored=0)
     tables = _tables(g, cond)
-    counter = {"nodes": 0}
+    nodes = 0
     for k in range(start, g.n + 1):
-        mask = _search_exact(tables, k, counter, limits.max_nodes)
+        mask, nodes = _search_exact(tables, k, nodes, limits.max_nodes)
         if mask is not None:
-            return AllianceResult(
-                value=k,
-                witness=VertexSet.from_mask(mask),
-                nodes_explored=counter["nodes"],
-            )
+            return AllianceResult(value=k, witness=VertexSet.from_mask(mask), nodes_explored=nodes)
     raise AssertionError("unreachable: the full vertex set satisfies every variant")
 
 

@@ -139,7 +139,9 @@ def global_defensive_degree(n: int, max_degree: int) -> tuple[int, int]:
 
 def global_defensive_degree_prior(n: int, max_degree: int) -> int:
     """Earlier degree-only bound n/(ceil(Delta/2)+1) on the global defensive
-    alliance number; kept alongside the sharper globdef-degree bound."""
+    alliance number. It is never below globdef-degree's 2n/(Delta+3): the
+    denominators agree for odd Delta, and for even Delta
+    ceil(Delta/2)+1 < (Delta+3)/2."""
     return _ceil_div(n, (max_degree + 1) // 2 + 1)
 
 
@@ -261,15 +263,19 @@ def select_theorems(theorems: Iterable[str] | None) -> set[str]:
 
 def evaluate_all(
     g: Graph,
-    summary: SpectralSummary | None = None,
+    summary: SpectralSummary | None,
     theorems: Iterable[str] | None = None,
 ) -> list[BoundResult]:
     """Evaluate every requested theorem on one graph, in table order.
 
-    ``summary`` may be None (order-1 graphs have no algebraic connectivity);
-    spectral theorems are then reported inapplicable.
+    ``summary`` is ``spectral.spectral_summary(g)``. It is None only at order
+    1, which has no algebraic connectivity, and the spectral theorems are
+    then reported inapplicable; a None summary at a larger order raises
+    ``ValueError``, after the theorem ids are checked.
     """
     selected = select_theorems(theorems)
+    if summary is None and g.n > 1:
+        raise ValueError(f"a graph of order {g.n} needs its spectral summary; only order 1 has none")
     quantities = {
         "n": g.n,
         "m": g.m,

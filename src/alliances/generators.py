@@ -171,6 +171,15 @@ def bowtie() -> Graph:
     return Graph(5, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)))
 
 
+def _rng(seed: int) -> random.Random:
+    """The generator of a random family. ``random.Random`` seeds from the
+    absolute value, so a negative seed would name the graph of its absolute
+    value; it is refused instead."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return random.Random(seed)
+
+
 def gnp(n: int, p: float, seed: int = 0) -> Graph:
     """Erdos-Renyi random graph: each pair is an edge independently with probability p.
 
@@ -181,7 +190,7 @@ def gnp(n: int, p: float, seed: int = 0) -> Graph:
         raise ValueError(f"gnp needs n >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    rng = random.Random(seed)
+    rng = _rng(seed)
     return Graph(n, ((u, v) for u, v in combinations(range(n), 2) if rng.random() < p))
 
 
@@ -201,7 +210,7 @@ def random_regular(n: int, d: int, seed: int = 0) -> Graph:
     if d < 0 or d >= n or (n * d) % 2:
         raise ValueError(f"infeasible regular graph parameters n={n}, d={d} (need n*d even, 0 <= d < n)")
     _check_order(n)
-    rng = random.Random(seed)
+    rng = _rng(seed)
     stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(_REGULAR_TRIES):
         rng.shuffle(stubs)

@@ -104,12 +104,6 @@ class Graph:
         self.components = count
         self.first_class = first_class
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.masks[u] >> v) & 1)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as ``(u, v)`` with ``u < v``, in sorted order."""
         for u in range(self.n):
@@ -181,22 +175,19 @@ class VertexSet:
         return f"VertexSet({{{', '.join(map(str, self))}}})"
 
 
-def _check_set(g: Graph, s: VertexSet) -> None:
-    if s.mask >> g.n:
-        raise ValueError(f"vertex set {s!r} contains indices >= n={g.n}")
-
-
 def girth(g: Graph) -> int | float:
     """Length of a shortest cycle, or ``math.inf`` for forests.
 
     BFS from every vertex; each non-tree edge met at distance d closes a
     walk of length ``dist[u] + dist[w] + 1`` through the root, which is an
     upper bound on the girth and exact for roots lying on a shortest cycle.
+    A seen neighbour w of u is read only when ``dist[w] >= dist[u]``: one
+    at ``dist[u] - 1`` is u's parent, or the end of an edge already read
+    from w, when u was at ``dist[w] + 1``, with the same sum.
     """
     best: int | float = math.inf
     for root in range(g.n):
         dist = [-1] * g.n
-        parent = [-1] * g.n
         dist[root] = 0
         queue: deque[int] = deque([root])
         while queue:
@@ -207,9 +198,8 @@ def girth(g: Graph) -> int | float:
             for w in g.adjacency[u]:
                 if dist[w] == -1:
                     dist[w] = du + 1
-                    parent[w] = u
                     queue.append(w)
-                elif parent[u] != w:
+                elif dist[w] >= du:
                     cand = du + dist[w] + 1
                     if cand < best:
                         best = cand

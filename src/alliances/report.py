@@ -67,10 +67,6 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _girth_json(value: int | float) -> int | None:
-    return None if math.isinf(value) else int(value)
-
-
 def _solve_exact(g: Graph, spec: AllianceSpec, limits: SearchLimits, known: dict[str, AllianceResult]) -> AllianceResult:
     # perfbench traces the domination row by this name (bench_trace.install).
     # Domination implies no other row, so it has no use for ``known``, the
@@ -115,15 +111,15 @@ def analyze(
     for spec in [] if bounds_only else requested:
         results[spec.name] = _solve_exact(g, spec, limits, results)
     exact = {name: {"value": result.value, "witness": list(result.witness)} for name, result in results.items()}
-    girth_value = girth(g)
+    shortest = girth(g)
+    girth_value = None if math.isinf(shortest) else shortest  # a forest has none
     try:
         summary = spectral_summary(g)
     except UndefinedQuantityError:
         summary = None
 
     exact_by_target = {name: entry["value"] for name, entry in exact.items()}
-    if not math.isinf(girth_value):
-        exact_by_target["girth"] = int(girth_value)
+    exact_by_target["girth"] = girth_value
 
     bound_rows = []
     for row in bounds_mod.evaluate_all(g, summary, theorems):
@@ -158,7 +154,7 @@ def analyze(
             "max_degree": g.max_degree,
             "regular": g.regular,
             "connected": g.components == 1,
-            "girth": _girth_json(girth_value),
+            "girth": girth_value,
         },
     }
     if labels is not None:

@@ -127,6 +127,25 @@ class TestGlobalDefensive:
         assert global_defensive_degree_prior(9, 8) == 2
         assert global_defensive_degree_prior(10, 3) == 4
 
+    def test_degree_row_never_above_the_prior_row(self):
+        # ceil(2n/(Delta+3)) <= ceil(n/(ceil(Delta/2)+1)): for odd Delta the
+        # two quotients are equal, and for even Delta ceil(Delta/2)+1 is below
+        # (Delta+3)/2. So globdef-degree never beats globdef-degree-prior on
+        # global_defensive.
+        pairs = equal = 0
+        for n in range(1, 600):
+            for delta in range(n):
+                plain, prior = global_defensive_degree(n, delta)[0], global_defensive_degree_prior(n, delta)
+                assert plain <= prior, (n, delta)
+                pairs += 1
+                equal += plain == prior
+        assert (pairs, equal) == (179_700, 167_126)
+
+    @given(st.integers(600, 10**15).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
+    def test_degree_row_never_above_the_prior_row_at_large_orders(self, case):
+        n, delta = case
+        assert global_defensive_degree(n, delta)[0] <= global_defensive_degree_prior(n, delta)
+
 
 class TestGirthRegular:
     def test_petersen(self):
@@ -372,6 +391,20 @@ class TestDominationBound:
     def test_c4(self):
         assert domination_laplacian_radius(4, 4.0) == 1
 
+    def test_never_above_the_counting_bound_on_the_atlas(self):
+        # mu* >= Delta + 1 on every graph with an edge (Grone & Merris 1994),
+        # so ceil(n/mu*) <= ceil(n/(Delta+1)), the classical counting bound
+        # on domination.
+        nx = pytest.importorskip("networkx")
+        atlas = [h for h in nx.graph_atlas_g() if 2 <= h.number_of_nodes() <= 6 and h.number_of_edges()]
+        for h in atlas:
+            g = Graph(h.number_of_nodes(), h.edges())
+            summary = spectral_summary(g)
+            assert summary.laplacian_radius >= g.max_degree + 1 - 1e-9, nx.to_graph6_bytes(h)
+            (row,) = evaluate_all(g, summary, theorems=("dom-laplacian",))
+            assert row.value <= -(-g.n // (g.max_degree + 1)), nx.to_graph6_bytes(h)
+        assert len(atlas) == 202
+
 
 class TestEvaluateAll:
     def test_every_theorem_reports_once_per_target(self, corpus):
@@ -402,6 +435,12 @@ class TestEvaluateAll:
     def test_unknown_theorem_rejected(self):
         with pytest.raises(ValueError, match="unknown theorem"):
             evaluate_all(generators.complete(3), None, theorems=["def-mu", "globdef-mu"])
+
+    def test_summary_is_required_above_order_one(self, corpus):
+        # Without a summary, an order-10 graph would read "spectral summary
+        # unavailable (order < 2)" on every spectral row.
+        with pytest.raises(ValueError, match="order 10 needs its spectral summary"):
+            evaluate_all(corpus["petersen"], None)
 
     def test_theorem_filter(self):
         rows = evaluate_all(generators.complete(4), spectral_summary(generators.complete(4)), theorems=["globdual-size"])
@@ -448,7 +487,8 @@ class TestEvaluateAll:
         planted = bounds._Theorem("globdual-size", ("global_dual",), lambda m, n: 100 * m + n)
         assert planted.inputs == ("m", "n")
         monkeypatch.setattr(bounds, "_THEOREMS", (planted,))
-        (row,) = evaluate_all(generators.path(5), None)
+        g = generators.path(5)
+        (row,) = evaluate_all(g, spectral_summary(g))
         assert row.value == 405
 
     def test_values_never_negative(self, corpus):

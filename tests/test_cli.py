@@ -61,6 +61,22 @@ class TestFamilyGrammar:
         assert out == ""
         assert "bad seed '' in 'complete:4:seed='" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["survey", "gnp:8:0.5:seed=-3", "--count", "7", "--format", "csv"],
+            ["analyze", "random_regular:12:3:seed=-5"],
+            ["generate", "gnp:10:0.5:seed=-1"],
+        ],
+    )
+    def test_negative_seed_exits_2(self, capsys, argv):
+        # A negative seed would draw the graph of its absolute value: the
+        # survey's seeds -3..3 would be four graphs under seven names.
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("alliance: error: seed must be >= 0, got -")
+
     def test_repeated_seed(self, capsys):
         with pytest.raises(ValueError, match="repeated seed"):
             parse_family("gnp:5:0.5:seed=1:seed=2")

@@ -28,7 +28,7 @@ class TestGraphConstruction:
 
     def test_edge_count_is_half_degree_sum(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-        assert g.m == sum(g.degree(v) for v in range(g.n)) // 2 == 5
+        assert g.m == sum(len(a) for a in g.adjacency) // 2 == 5
 
     def test_duplicate_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])

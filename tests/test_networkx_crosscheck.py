@@ -88,7 +88,7 @@ def _check_first_class(g: Graph, h) -> bool:
     if bipartite:
         first = set(VertexSet.from_mask(g.first_class))
         assert all((u in first) != (v in first) for u, v in g.edges()), label
-        assert all(g.degree(v) for v in first), label
+        assert all(g.adjacency[v] for v in first), label
         for component in nx.connected_components(h):
             inside = len(first & component)
             assert inside <= len(component) // 2, label
