@@ -35,12 +35,27 @@ class GraphFamilySpec:
     """Recipe for a deterministic graph construction: a family name from
     ``FAMILIES`` and its numeric parameters. ``seed`` only matters for the
     random families, where the default 0 is a seed like any other, and is
-    part of the recipe's identity.
+    part of the recipe's identity. A spec checks itself when it is made (a
+    known family, parameters that fit its constructor's signature, a seed
+    >= 0) and holds each parameter as the type that signature names.
     """
 
     family: str
     params: tuple[int | float, ...] = ()
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown graph family {self.family!r}; known: {', '.join(FAMILIES)}")
+        types = _TYPES[self.family]
+        if len(self.params) != len(types):
+            raise ValueError(f"family {self.family!r} takes {len(types)} parameter(s), got {len(self.params)}")
+        for p, kind in zip(self.params, types):
+            if kind is int and isinstance(p, float) and not p.is_integer():
+                raise ValueError(f"family {self.family!r} takes integer parameters, got {p}")
+        if self.seed < 0:  # random.Random would seed from its absolute value
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "params", tuple(kind(p) for p, kind in zip(self.params, types)))
 
     def __str__(self) -> str:
         """The spec string ``name:p1:...:seed=S`` that ``parse_family`` reads back."""
@@ -49,14 +64,11 @@ class GraphFamilySpec:
 
 def parse_family(text: str) -> GraphFamilySpec:
     """Parse a family spec string ``name[:p1[:p2]][:seed=S]``; a missing seed
-    means 0, and a repeated one is an error."""
-    parts = text.split(":")
-    name = parts[0]
-    if name not in FAMILIES:
-        raise ValueError(f"unknown graph family {name!r}; known: {', '.join(FAMILIES)}")
+    means 0, and a repeated one is an error. The spec checks the rest."""
+    name, *parts = text.split(":")
     params: list[int | float] = []
     seed: int | None = None
-    for part in parts[1:]:
+    for part in parts:
         if part.startswith("seed="):
             if seed is not None:
                 raise ValueError(f"repeated seed= in {text!r}")
@@ -253,8 +265,8 @@ def _switched_circulant(n: int, d: int, rng: random.Random) -> list[tuple[int, i
 
 
 # Name -> constructor, in the order error messages list them. A family's
-# parameters are its constructor's: ``build`` coerces each to the type its
-# signature names, and passes ``seed`` to a constructor that takes one.
+# parameters are its constructor's: a spec coerces each to the type its
+# signature names, and ``build`` passes ``seed`` to a constructor that takes one.
 FAMILIES: dict[str, Callable[..., Graph]] = {
     "complete": complete,
     "complete_bipartite": complete_bipartite,
@@ -270,8 +282,7 @@ FAMILIES: dict[str, Callable[..., Graph]] = {
     "random_regular": random_regular,
 }
 
-# Name -> its constructor's parameters, and the types of all but ``seed``,
-# read once.
+# Name -> its constructor's parameters, and the types of all but ``seed``.
 _PARAMETERS = {
     name: inspect.signature(constructor, eval_str=True).parameters for name, constructor in FAMILIES.items()
 }
@@ -282,18 +293,7 @@ _TYPES = {
 
 
 def build(spec: GraphFamilySpec) -> Graph:
-    """Construct the graph described by a family spec; deterministic for fixed spec."""
-    constructor = FAMILIES.get(spec.family)
-    if constructor is None:
-        raise ValueError(f"unknown graph family {spec.family!r}")
-    types = _TYPES[spec.family]
-    if len(spec.params) != len(types):
-        raise ValueError(f"family {spec.family!r} takes {len(types)} parameter(s), got {len(spec.params)}")
-    params: list[int | float] = []
-    for p, kind in zip(spec.params, types):
-        if kind is int and isinstance(p, float) and not p.is_integer():
-            raise ValueError(f"family {spec.family!r} takes integer parameters, got {p}")
-        params.append(kind(p))
+    """Construct the graph a spec describes; deterministic for a fixed spec."""
     if "seed" in _PARAMETERS[spec.family]:
-        return constructor(*params, seed=spec.seed)
-    return constructor(*params)
+        return FAMILIES[spec.family](*spec.params, seed=spec.seed)
+    return FAMILIES[spec.family](*spec.params)

@@ -256,6 +256,37 @@ class TestRelabelling:
         assert (len(graphs), checks) == (25, 450)
 
 
+class TestUnion:
+    # The laws of a disjoint union G + H, with H's labels shifted past G's,
+    # checked against the unsplit search; they need no oracle. A global row
+    # (domination included) constrains every vertex, so its minimum set is
+    # a minimum set of each part: the values add and the witnesses join. A
+    # defensive alliance only constrains its members, whose neighbours lie
+    # in their own part, so the minimum is the smaller part's, and its
+    # witness the lexicographically smaller of the parts' of that size.
+    def test_union_laws_against_the_unsplit_search(self):
+        rng = random.Random(20)
+        checks = 0
+        for index in range(40):
+            parts = [generators.gnp(rng.randint(1, 7), rng.uniform(0.1, 0.9), seed=2 * index + i) for i in (0, 1)]
+            g, h = parts
+            union = Graph(g.n + h.n, [*g.edges(), *((u + g.n, v + g.n) for u, v in h.edges())])
+            for name in VARIANTS:
+                spec = AllianceSpec(name)
+                a, b = (min_alliance_number(part, spec) for part in parts)
+                shifted = VertexSet.from_mask(b.witness.mask << g.n)
+                if name in ("defensive", "strong_defensive"):
+                    value = min(a.value, b.value)
+                    witness = min((w for w in (a.witness, shifted) if w.size == value), key=list)
+                else:
+                    value = a.value + b.value
+                    witness = VertexSet.from_mask(a.witness.mask | shifted.mask)
+                result = min_alliance_number(union, spec)
+                assert (result.value, result.witness) == (value, witness), (g.adjacency, h.adjacency, name)
+                checks += 1
+        assert checks == 360
+
+
 class TestValueMonotonicity:
     @given(graphs(max_n=8))
     @settings(max_examples=40, deadline=None)
@@ -610,6 +641,18 @@ class TestImplications:
                         if holds[x]:
                             assert all(holds[y] for y in implied), (g.adjacency, mask, x)
         assert graphs_checked == 1 + 2 + 4 + 11 + 34
+
+    def test_unstarted_values_respect_the_relation_on_the_corpus(self, corpus):
+        # analyze starts each row from the values of the rows it implies, so
+        # only the search without ``_known`` tests the relation itself.
+        pairs = 0
+        for g in corpus.values():
+            values = {name: min_alliance_number(g, spec_from_name(name)).value for name in VARIANTS}
+            for x, implied in _IMPLIES.items():
+                for y in implied:
+                    assert values[x] >= values[y], (g.adjacency, x, y)
+                    pairs += 1
+        assert (len(corpus), pairs) == (19, 418)
 
     def test_known_results_change_no_value_or_witness(self, corpus):
         graphs = [*corpus.values(), *(generators.gnp(12, 0.3, seed=seed) for seed in range(4))]

@@ -405,6 +405,15 @@ class TestDominationBound:
             assert row.value <= -(-g.n // (g.max_degree + 1)), nx.to_graph6_bytes(h)
         assert len(atlas) == 202
 
+    def test_never_above_the_counting_bound_on_the_corpus(self, corpus):
+        graphs = [g for g in corpus.values() if g.m]
+        for g in graphs:
+            summary = spectral_summary(g)
+            assert summary.laplacian_radius >= g.max_degree + 1 - 1e-9, g.adjacency
+            (row,) = evaluate_all(g, summary, theorems=("dom-laplacian",))
+            assert row.value <= -(-g.n // (g.max_degree + 1)), g.adjacency
+        assert len(graphs) == 19
+
 
 class TestEvaluateAll:
     def test_every_theorem_reports_once_per_target(self, corpus):

@@ -142,26 +142,30 @@ def test_build_dispatch():
     assert build(GraphFamilySpec("complete", (6,))) == generators.complete(6)
 
 
-def test_build_coerces_each_parameter_to_its_constructors_type():
+def test_spec_coerces_each_parameter_to_its_constructors_type():
+    assert GraphFamilySpec("complete", (6.0,)) == GraphFamilySpec("complete", (6,))
+    assert str(GraphFamilySpec("complete", (6.0,))) == "complete:6:seed=0"
     assert build(GraphFamilySpec("complete", (6.0,))) == generators.complete(6)
     assert build(GraphFamilySpec("gnp", (8, 1), seed=0)) == generators.gnp(8, 1.0, seed=0)
 
 
 def test_build_passes_the_seed_only_to_seeded_families():
     assert build(GraphFamilySpec("petersen", (), seed=5)) == generators.petersen()
-    with pytest.raises(ValueError, match=r"takes 0 parameter\(s\), got 1"):
-        build(GraphFamilySpec("petersen", (3,)))
 
 
-def test_build_rejects_bad_specs():
-    with pytest.raises(ValueError, match="unknown graph family"):
-        build(GraphFamilySpec("moebius"))
-    with pytest.raises(ValueError, match="parameter"):
-        build(GraphFamilySpec("complete", (2, 3)))
-    with pytest.raises(ValueError, match="integer"):
-        build(GraphFamilySpec("cycle", (3.5,)))
-    with pytest.raises(ValueError, match="takes integer parameters"):
-        build(GraphFamilySpec("gnp", (10.5, 0.5), seed=1))
+def test_spec_rejects_bad_specs_when_made():
+    # Each check runs when the spec is made, not when it is built.
+    cases = [
+        (("moebius",), "unknown graph family 'moebius'; known: complete, "),
+        (("petersen", (3,)), r"takes 0 parameter\(s\), got 1"),
+        (("complete", (2, 3)), r"takes 1 parameter\(s\), got 2"),
+        (("cycle", (3.5,)), "takes integer parameters, got 3.5"),
+        (("gnp", (10.5, 0.5), 1), "takes integer parameters, got 10.5"),
+        (("petersen", (), -1), "seed must be >= 0, got -1"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            GraphFamilySpec(*args)
 
 
 def test_build_gnp_deterministic_with_seed():
